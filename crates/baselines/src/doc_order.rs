@@ -9,7 +9,7 @@
 //! with this module.
 
 use catalog::error::Result;
-use minidb::{Column, DataType, Database, Expr, Plan, TableSchema, Value};
+use minidb::{ArithOp, CmpOp, Column, DataType, Database, Expr, Plan, TableSchema, Value};
 use std::sync::atomic::{AtomicI64, Ordering};
 use xmlkit::dom::{Document, NodeKind};
 
@@ -86,37 +86,7 @@ impl DocOrderStore {
         // Count fragment elements to compute the shift width.
         let frag_len = frag.descendants(frag.root()).count() as i64;
 
-        // Renumber the tail (the expensive part).
-        let table = self.db.table("nodes")?;
-        let mut shifted = 0usize;
-        {
-            let mut guard = table.write();
-            let mut victims: Vec<(minidb::RowId, i64)> = guard
-                .scan()
-                .filter_map(|(rid, r)| {
-                    if r[0].as_i64() == Some(object) {
-                        r[1].as_i64().filter(|&p| p >= at).map(|p| (rid, p))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            // Shift from the tail so the unique (object, pos) index never
-            // sees a transient collision.
-            victims.sort_by_key(|(_, p)| std::cmp::Reverse(*p));
-            for (rid, _) in victims {
-                guard
-                    .update(rid, |r| {
-                        if let Value::Int(p) = &mut r[1] {
-                            *p += frag_len;
-                        }
-                    })
-                    .map_err(catalog::error::CatalogError::Db)?;
-                shifted += 1;
-            }
-        }
-
-        // Insert the fragment's rows at the gap.
+        // The fragment's rows, numbered into the gap.
         let mut rows = Vec::new();
         let mut pos = at - 1;
         let mut stack = vec![(frag.root(), depth)];
@@ -136,7 +106,23 @@ impl DocOrderStore {
                 }
             }
         }
-        self.db.insert("nodes", rows)?;
+
+        // Renumber the tail (the expensive part) and insert the fragment
+        // in one transaction.
+        let mut txn = self.db.txn();
+        let shifted = txn.update_where(
+            "nodes",
+            Some(&Expr::and(
+                Expr::col_eq(0, object),
+                Expr::Cmp(CmpOp::Ge, Box::new(Expr::col(1)), Box::new(Expr::lit(at))),
+            )),
+            &[(
+                1,
+                Expr::Arith(ArithOp::Add, Box::new(Expr::col(1)), Box::new(Expr::lit(frag_len))),
+            )],
+        )?;
+        txn.insert("nodes", rows)?;
+        txn.commit()?;
         Ok(shifted)
     }
 

@@ -174,18 +174,26 @@ impl InliningBackend {
         if let Ok((anchor_table, rec_table, _)) = backend.dynamic_tables() {
             let cv = &backend.convention;
             let name_col = backend.col(&rec_table, &cv.name_tag);
-            let _ = backend.db.table(&rec_table).and_then(|t| {
-                t.write().create_index(format!("{rec_table}_by_label"), vec![name_col], false)
-            });
+            let mut txn = backend.db.txn();
+            txn.create_index_at(
+                &rec_table,
+                &format!("{rec_table}_by_label"),
+                vec![name_col],
+                false,
+            )?;
             let head_col = match &cv.head_wrapper {
                 Some(h) => format!("{h}_{}", cv.head_name_tag),
                 None => cv.head_name_tag.clone(),
             };
             if let Some(&hc) = backend.col_index.get(&(anchor_table.clone(), head_col)) {
-                let _ = backend.db.table(&anchor_table).and_then(|t| {
-                    t.write().create_index(format!("{anchor_table}_by_head"), vec![hc], false)
-                });
+                txn.create_index_at(
+                    &anchor_table,
+                    &format!("{anchor_table}_by_head"),
+                    vec![hc],
+                    false,
+                )?;
             }
+            txn.commit()?;
         }
         Ok(backend)
     }

@@ -1,6 +1,6 @@
-//! The E1–E8 experiment implementations shared by the harness binary
-//! and (in reduced form) the Criterion benches. Each returns a
-//! [`Table`] whose rendering is recorded in EXPERIMENTS.md.
+//! The E1–E8 experiment implementations run by the harness binary.
+//! Each returns a [`Table`] whose rendering is recorded in
+//! EXPERIMENTS.md.
 
 use crate::table::{fmt_bytes, fmt_rate, fmt_secs, Table};
 use crate::{all_backends, generator, hybrid_backend, load, median_secs};
@@ -9,7 +9,7 @@ use baselines::CatalogBackend;
 use catalog::catalog::CatalogConfig;
 use catalog::engine::MatchStrategy;
 use catalog::error::Result;
-use workload::{DocGenerator, QueryGenerator, QueryShape, WorkloadConfig};
+use workload::{QueryGenerator, QueryShape, WorkloadConfig};
 
 /// Experiment scale: `Quick` for smoke runs, `Full` for the recorded
 /// evaluation.
@@ -367,8 +367,9 @@ pub fn e7_ordering(scale: Scale) -> Result<Table> {
 /// E8 — concurrent throughput under grid load.
 ///
 /// Claim: a grid catalog must sustain many concurrent users (§1, \[7\]).
-/// Per-table RwLocks let read throughput scale with threads; a 90/10
-/// read/write mix shows writer interference.
+/// Readers share the commit-visibility gate, so read throughput can
+/// scale with threads; a 90/10 read/write mix shows writer
+/// interference.
 pub fn e8_concurrent(scale: Scale) -> Result<Table> {
     let n = scale.pick(200, 800);
     let window = std::time::Duration::from_millis(scale.pick(250, 900) as u64);
@@ -674,9 +675,4 @@ pub fn figures() -> Table {
         "examples/quickstart.rs".into(),
     ]);
     t
-}
-
-/// Helper used by the DocGenerator in E7 (re-exported for benches).
-pub fn doc_generator(cfg: WorkloadConfig) -> DocGenerator {
-    DocGenerator::new(cfg)
 }

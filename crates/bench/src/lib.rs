@@ -5,8 +5,8 @@
 //! crate *is* that evaluation: every comparative claim in the paper is
 //! turned into a measured experiment over the same engine, parser, and
 //! seeded corpus. `src/bin/harness.rs` prints the tables recorded in
-//! EXPERIMENTS.md; the Criterion benches under `benches/` measure the
-//! same pivots with statistical rigor.
+//! EXPERIMENTS.md and is the only in-workspace measurement path (the
+//! end-to-end service benchmark lives in `svcbench/`).
 
 #![warn(missing_docs)]
 

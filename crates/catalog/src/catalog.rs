@@ -154,7 +154,7 @@ impl MetadataCatalog {
         })
     }
 
-    /// Assemble a catalog from already-loaded parts (snapshot loading).
+    /// Assemble a catalog from already-loaded parts (recovery).
     pub(crate) fn from_parts(
         db: Database,
         partition: Partition,
@@ -560,16 +560,6 @@ impl MetadataCatalog {
         run_flat_query(&self.db, &defs, q)
     }
 
-    /// [`MetadataCatalog::query_flat`] with an explicit plan style.
-    pub fn query_flat_styled(
-        &self,
-        q: &ObjectQuery,
-        style: crate::engine::PlanStyle,
-    ) -> Result<Vec<i64>> {
-        let defs = self.defs.read();
-        crate::engine::run_flat_query_styled(&self.db, &defs, q, style)
-    }
-
     /// Run the query's match plan under the profiler and render the
     /// operator tree annotated with actual row counts and timings —
     /// `EXPLAIN ANALYZE` for the catalog's query path. The analyzed
@@ -669,10 +659,10 @@ impl MetadataCatalog {
             elem_rows: rt.row_count("elems").unwrap_or(0),
             ancestor_rows: rt.row_count("attr_anc").unwrap_or(0),
             clob_count: rt.row_count("clobs").unwrap_or(0),
-            clob_bytes: self.db.clobs.total_bytes(),
+            clob_bytes: rt.clob_bytes(),
             attr_defs: defs.attrs().len(),
             elem_defs: defs.elems().len(),
-            table_count: self.db.table_names().len(),
+            table_count: rt.table_names().len(),
         }
     }
 

@@ -417,16 +417,7 @@ pub fn run_query_styled(
 /// Exposed for the E2 ablation; produces the same answer as
 /// [`MatchStrategy::Exact`] whenever its preconditions hold.
 pub fn run_flat_query(db: &Database, defs: &DefsRegistry, query: &ObjectQuery) -> Result<Vec<i64>> {
-    run_flat_query_styled(db, defs, query, PlanStyle::default())
-}
-
-/// [`run_flat_query`] with an explicit [`PlanStyle`].
-pub fn run_flat_query_styled(
-    db: &Database,
-    defs: &DefsRegistry,
-    query: &ObjectQuery,
-    style: PlanStyle,
-) -> Result<Vec<i64>> {
+    let style = PlanStyle::default();
     let mut per_attr_plans: Vec<Plan> = Vec::new();
     for aq in &query.attrs {
         let node = resolve(defs, aq, None)?;

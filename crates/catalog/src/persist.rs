@@ -1,13 +1,14 @@
-//! Catalog persistence: save to / load from a snapshot file.
+//! Catalog persistence: durable open over a WAL-backed database.
 //!
 //! The whole store — including the `attr_defs`/`elem_defs` mirrors —
-//! lives in `minidb` tables plus the CLOB heap, so saving is one
-//! database snapshot. Loading rebuilds the in-memory definition
-//! registry by (a) re-deriving structural definitions from the
-//! partition (ids are deterministic) and (b) replaying the mirrored
-//! dynamic definitions in id order; a mismatch between the snapshot's
-//! structural definitions and the supplied partition is an error (the
-//! schema the catalog serves must not silently drift).
+//! lives in `minidb` tables plus the CLOB heap, so recovery is one
+//! database recovery (checkpoint snapshot plus WAL tail). Reopening
+//! rebuilds the in-memory definition registry by (a) re-deriving
+//! structural definitions from the partition (ids are deterministic)
+//! and (b) replaying the mirrored dynamic definitions in id order; a
+//! mismatch between the stored structural definitions and the supplied
+//! partition is an error (the schema the catalog serves must not
+//! silently drift).
 
 use crate::catalog::{CatalogConfig, MetadataCatalog};
 use crate::defs::{DefLevel, DefsRegistry};
@@ -19,30 +20,16 @@ use std::path::Path;
 use xmlkit::ValueType;
 
 impl MetadataCatalog {
-    /// Save the catalog to a snapshot file.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        self.db().save_to(path).map_err(Into::into)
-    }
-
-    /// Load a catalog from a snapshot written by [`Self::save`]. The
-    /// same partitioned schema (and convention/config) must be supplied;
-    /// structural definitions are cross-checked against the snapshot.
-    pub fn load(
-        path: impl AsRef<Path>,
-        partition: Partition,
-        config: CatalogConfig,
-    ) -> Result<MetadataCatalog> {
-        let db = Database::load_from(path)?;
-        rebuild(db, partition, config)
-    }
-
     /// Open a crash-safe catalog backed by `dir`: every ingest,
     /// deletion, and definition registration commits through a
     /// write-ahead log before it is acknowledged, and
     /// [`MetadataCatalog::checkpoint`] compacts the log into a
     /// snapshot. Reopening the same directory recovers the snapshot
     /// plus the committed WAL tail (a torn final record from a crash
-    /// is discarded; mid-log corruption is a hard error).
+    /// is discarded; mid-log corruption is a hard error). The same
+    /// partitioned schema (and convention/config) must be supplied on
+    /// every open; structural definitions are cross-checked against
+    /// the stored ones.
     pub fn open(
         dir: impl AsRef<Path>,
         partition: Partition,
@@ -184,15 +171,42 @@ fn bad(what: &str) -> CatalogError {
 mod tests {
     use super::*;
     use crate::defs::DynamicAttrSpec;
-    use crate::lead::{fig4_query, lead_catalog, lead_partition, FIG3_DOCUMENT};
+    use crate::lead::{fig4_query, lead_partition, register_arps_defs, FIG3_DOCUMENT};
+    use minidb::{MemVfs, WalOptions};
+    use std::sync::Arc;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("catalog-snap-{name}-{}", std::process::id()))
+    /// The LEAD catalog `lead_catalog` builds, but durable on `vfs`.
+    fn durable_lead(vfs: &MemVfs) -> MetadataCatalog {
+        let cat = MetadataCatalog::open_with(
+            Arc::new(vfs.clone()),
+            WalOptions::default(),
+            lead_partition(),
+            CatalogConfig::default(),
+        )
+        .unwrap();
+        register_arps_defs(&cat).unwrap();
+        cat
+    }
+
+    /// Checkpoint `cat`, then reopen what its directory holds on disk.
+    fn reopen(
+        cat: &MetadataCatalog,
+        vfs: &MemVfs,
+        partition: Partition,
+    ) -> Result<MetadataCatalog> {
+        cat.checkpoint().unwrap();
+        MetadataCatalog::open_with(
+            Arc::new(vfs.crashed_copy()),
+            WalOptions::default(),
+            partition,
+            CatalogConfig::default(),
+        )
     }
 
     #[test]
-    fn save_load_roundtrip() {
-        let cat = lead_catalog(CatalogConfig::default()).unwrap();
+    fn checkpoint_reopen_roundtrip() {
+        let vfs = MemVfs::new();
+        let cat = durable_lead(&vfs);
         let id = cat.ingest(FIG3_DOCUMENT).unwrap();
         cat.register_dynamic(
             crate::lead::DETAILED_PATH,
@@ -201,11 +215,7 @@ mod tests {
         )
         .unwrap();
 
-        let path = tmp("roundtrip");
-        cat.save(&path).unwrap();
-        let loaded =
-            MetadataCatalog::load(&path, lead_partition(), CatalogConfig::default()).unwrap();
-        std::fs::remove_file(&path).ok();
+        let loaded = reopen(&cat, &vfs, lead_partition()).unwrap();
 
         // Stored data still answers the Fig-4 query and reconstructs.
         assert_eq!(loaded.query(&fig4_query()).unwrap(), vec![id]);
@@ -233,32 +243,27 @@ mod tests {
 
     #[test]
     fn partition_mismatch_rejected() {
-        let cat = lead_catalog(CatalogConfig::default()).unwrap();
+        let vfs = MemVfs::new();
+        let cat = durable_lead(&vfs);
         cat.ingest(FIG3_DOCUMENT).unwrap();
-        let path = tmp("mismatch");
-        cat.save(&path).unwrap();
-        // A different partition (auto-derived) does not match the saved
+        // A different partition (auto-derived) does not match the stored
         // structural definitions.
         let other = crate::partition::Partition::auto(crate::lead::lead_schema()).unwrap();
-        let err = match MetadataCatalog::load(&path, other, CatalogConfig::default()) {
+        let err = match reopen(&cat, &vfs, other) {
             Err(e) => e,
             Ok(_) => panic!("mismatched partition must be rejected"),
         };
-        std::fs::remove_file(&path).ok();
         assert!(matches!(err, CatalogError::Definition(_)));
     }
 
     #[test]
     fn collections_survive() {
-        let cat = lead_catalog(CatalogConfig::default()).unwrap();
+        let vfs = MemVfs::new();
+        let cat = durable_lead(&vfs);
         let id = cat.ingest(FIG3_DOCUMENT).unwrap();
         let coll = cat.create_collection("exp", Some("k")).unwrap();
         cat.add_object_to_collection(coll, id).unwrap();
-        let path = tmp("collections");
-        cat.save(&path).unwrap();
-        let loaded =
-            MetadataCatalog::load(&path, lead_partition(), CatalogConfig::default()).unwrap();
-        std::fs::remove_file(&path).ok();
+        let loaded = reopen(&cat, &vfs, lead_partition()).unwrap();
         assert_eq!(loaded.collection_objects(coll).unwrap(), vec![id]);
         assert_eq!(loaded.query_in_collection(coll, &fig4_query()).unwrap(), vec![id]);
     }

@@ -190,7 +190,7 @@ pub fn build_documents_ctx(
             }
             Some(K_CLOB) => {
                 if let Some(loc) = row[5].as_i64() {
-                    if let Ok(text) = db.clobs.get_str(loc as u64) {
+                    if let Ok(text) = rt.clob_str(loc as u64) {
                         ctx.charge_bytes(text.len() as u64)?;
                         buf.push_str(&text);
                     }

@@ -11,15 +11,15 @@
 
 use crate::error::{DbError, Result};
 use bytes::Bytes;
-use parking_lot::RwLock;
 
 /// Locator of a CLOB within a [`ClobStore`].
 pub type ClobId = u64;
 
-/// Append-only, thread-safe CLOB heap.
+/// Append-only CLOB heap. It has no lock of its own: the database keeps
+/// it beside the tables under the commit-visibility gate.
 #[derive(Debug, Default)]
 pub struct ClobStore {
-    slots: RwLock<Vec<Bytes>>,
+    slots: Vec<Bytes>,
 }
 
 impl ClobStore {
@@ -29,15 +29,14 @@ impl ClobStore {
     }
 
     /// Store `data`, returning its locator.
-    pub fn put(&self, data: impl Into<Bytes>) -> ClobId {
-        let mut slots = self.slots.write();
-        slots.push(data.into());
-        (slots.len() - 1) as ClobId
+    pub fn put(&mut self, data: impl Into<Bytes>) -> ClobId {
+        self.slots.push(data.into());
+        (self.slots.len() - 1) as ClobId
     }
 
     /// Fetch by locator (cheap handle clone).
     pub fn get(&self, id: ClobId) -> Result<Bytes> {
-        self.slots.read().get(id as usize).cloned().ok_or(DbError::NoSuchClob(id))
+        self.slots.get(id as usize).cloned().ok_or(DbError::NoSuchClob(id))
     }
 
     /// Fetch as UTF-8 text.
@@ -48,22 +47,17 @@ impl ClobStore {
 
     /// Number of stored CLOBs.
     pub fn len(&self) -> usize {
-        self.slots.read().len()
+        self.slots.len()
     }
 
     /// True when no CLOBs are stored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.slots.is_empty()
     }
 
     /// Total stored bytes, for storage accounting.
     pub fn total_bytes(&self) -> usize {
-        self.slots.read().iter().map(|b| b.len()).sum()
-    }
-
-    /// Remove all CLOBs (locators become invalid).
-    pub fn clear(&self) {
-        self.slots.write().clear();
+        self.slots.iter().map(|b| b.len()).sum()
     }
 }
 
@@ -73,7 +67,7 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip() {
-        let s = ClobStore::new();
+        let mut s = ClobStore::new();
         let a = s.put("hello".as_bytes().to_vec());
         let b = s.put(Bytes::from_static(b"<x/>"));
         assert_eq!(s.get_str(a).unwrap(), "hello");
@@ -90,7 +84,7 @@ mod tests {
 
     #[test]
     fn handles_share_storage() {
-        let s = ClobStore::new();
+        let mut s = ClobStore::new();
         let id = s.put(Bytes::from(vec![1u8; 1024]));
         let h1 = s.get(id).unwrap();
         let h2 = s.get(id).unwrap();
@@ -99,17 +93,20 @@ mod tests {
 
     #[test]
     fn concurrent_puts() {
-        let s = std::sync::Arc::new(ClobStore::new());
+        let s = crate::db::Database::new();
         std::thread::scope(|scope| {
             for t in 0..4 {
-                let s = s.clone();
+                let s = &s;
                 scope.spawn(move || {
                     for i in 0..100 {
-                        s.put(format!("t{t}-{i}").into_bytes());
+                        s.put_clob(format!("t{t}-{i}").into_bytes()).unwrap();
                     }
                 });
             }
         });
-        assert_eq!(s.len(), 400);
+        // 400 puts, 400 distinct locators 0..400.
+        let rt = s.begin_read();
+        assert!(rt.clob_str(399).is_ok());
+        assert!(rt.clob_str(400).is_err());
     }
 }

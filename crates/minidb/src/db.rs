@@ -1,24 +1,24 @@
 //! The database: a named-table catalog, CLOB heap, and plan executor.
 //!
-//! Concurrency model: the table map is guarded by one `RwLock`, and
-//! each table by its own `RwLock` (`parking_lot`, per the project's
-//! performance guidance). Readers executing plans take per-table read
-//! locks only while materializing scans, so concurrent queries scale
-//! and writers block only the tables they touch — this is what
-//! experiment E8 measures.
+//! Concurrency model: every table and the CLOB heap live in one
+//! `State` behind one `RwLock`, and that lock *is* the
+//! commit-visibility gate. Every [`Txn`] holds it exclusively from open
+//! to commit and applies through `&mut State`; every plan execution,
+//! [`Database::begin_read`] batch, [`Database::state_image`] and
+//! checkpoint snapshot holds it shared and reads tables by plain
+//! reference, so a scan takes no lock of its own. A transaction that
+//! touches several tables therefore becomes visible to readers
+//! *atomically at commit* — a concurrent query can never observe a
+//! half-applied multi-table write (e.g. an object row whose attribute
+//! rows are still being inserted). Committed transactions publish a
+//! monotonically increasing *watermark* ([`Database::commit_watermark`])
+//! that readers can use to tell snapshots apart.
 //!
-//! On top of the per-table locks sits a *commit-visibility gate*: every
-//! [`Txn`] holds the gate exclusively from its first mutation to its
-//! commit, and every plan execution (or [`Database::begin_read`]
-//! batch) holds it shared. A transaction that touches several tables
-//! therefore becomes visible to readers *atomically at commit* — a
-//! concurrent query can never observe a half-applied multi-table write
-//! (e.g. an object row whose attribute rows are still being inserted).
-//! Committed transactions publish a monotonically increasing
-//! *watermark* ([`Database::commit_watermark`]) that readers can use
-//! to tell snapshots apart. Lock order is always
-//! `WAL writer → visibility gate → table map → tables`, so the gate
-//! adds no deadlock edge.
+//! Lock order is always `WAL writer → gate`. The gate is not
+//! re-entrant: std's `RwLock` queues a new reader behind a waiting
+//! writer, so a thread that takes the shared gate twice deadlocks under
+//! write load. Code that already holds a [`Txn`] or [`ReadTxn`]
+//! therefore reads through it, never through a `Database` method.
 
 use crate::clob::ClobStore;
 use crate::error::{DbError, Result};
@@ -27,7 +27,7 @@ use crate::expr::Expr;
 use crate::keyset::{Key, KeySet, KeyedRows};
 use crate::limits::{approx_row_bytes, Budget, CHECK_INTERVAL};
 use crate::profile::PlanProfile;
-use crate::table::{Index, Row, RowId, Table, TableSchema};
+use crate::table::{Index, Row, Table, TableSchema};
 use crate::value::{DataType, Value};
 use crate::wal::{
     encode_wal_header, scan_wal, StdVfs, Vfs, WalOptions, WalRecord, WalWriter, SNAPSHOT_FILE,
@@ -281,25 +281,31 @@ fn record_keyed(prof: &mut Option<PlanProfile>, start: Option<Instant>, path: &[
 
 /// Durable-mode state: the VFS the database lives on plus the
 /// serialized WAL appender. The writer mutex is always acquired before
-/// any table or CLOB lock, so WAL order equals apply order.
+/// the gate, so WAL order equals apply order.
 pub(crate) struct Durability {
     vfs: Arc<dyn Vfs>,
     writer: Mutex<WalWriter>,
+}
+
+/// Everything the commit-visibility gate protects: the named tables
+/// and the CLOB heap shared by all of them (locators are `CLOB`
+/// columns).
+#[derive(Default)]
+pub(crate) struct State {
+    tables: HashMap<String, Table>,
+    pub(crate) clobs: ClobStore,
 }
 
 /// An embedded, in-memory relational database, optionally backed by a
 /// write-ahead log (see [`Database::open`] and [`crate::wal`]).
 #[derive(Default)]
 pub struct Database {
-    tables: RwLock<HashMap<String, Arc<RwLock<Table>>>>,
-    /// CLOB heap shared by all tables (locators are `CLOB` columns).
-    pub clobs: ClobStore,
+    /// Table and CLOB state under the commit-visibility gate (see the
+    /// module docs): held exclusively by each [`Txn`] for its whole
+    /// life, shared by every reader.
+    state: RwLock<State>,
     /// `Some` when opened durably; `None` for plain in-memory use.
     dur: Option<Durability>,
-    /// Commit-visibility gate (see the module docs): held exclusively
-    /// by each [`Txn`] for its whole life, shared by every reader, so
-    /// multi-table writes become visible atomically at commit.
-    vis: RwLock<()>,
     /// Count of committed transactions, published under the gate's
     /// exclusive hold — two reads observing the same watermark saw the
     /// same committed prefix of writes.
@@ -310,6 +316,12 @@ impl Database {
     /// Empty database.
     pub fn new() -> Database {
         Database::default()
+    }
+
+    /// A non-durable database over already-built state (snapshot
+    /// loading).
+    pub(crate) fn from_state(state: State) -> Database {
+        Database { state: RwLock::new(state), dur: None, watermark: AtomicU64::new(0) }
     }
 
     /// Open (or create) a durable database rooted at directory `dir`:
@@ -330,16 +342,18 @@ impl Database {
         };
         // 2. WAL tail: replay committed transactions newer than the
         //    snapshot, then truncate away any torn / uncommitted
-        //    suffix so later appends cannot resurrect it.
+        //    suffix so later appends cannot resurrect it. The database
+        //    is not shared yet, so replay needs no lock.
         let writer = if let Some(bytes) = vfs.read(WAL_FILE)? {
             let scan = scan_wal(&bytes)?;
+            let state = db.state.get_mut();
             let mut recovered = 0u64;
             for (lsn, records) in &scan.txns {
                 if *lsn <= snap_lsn {
                     continue;
                 }
                 for rec in records {
-                    db.apply_record(rec).map_err(|e| {
+                    state.apply_record(rec).map_err(|e| {
                         DbError::Corrupt(format!("wal replay failed at lsn {lsn}: {e}"))
                     })?;
                     recovered += 1;
@@ -396,8 +410,7 @@ impl Database {
     /// images, which makes this a deep-equality probe for recovery
     /// tests and replica divergence checks.
     pub fn state_image(&self) -> Result<Vec<u8>> {
-        let _gate = self.vis.read();
-        self.snapshot_bytes(0)
+        self.state.read().snapshot_bytes(0)
     }
 
     /// Start a transaction: a batch of mutations made atomic and
@@ -411,8 +424,8 @@ impl Database {
     /// applied batch.
     pub fn txn(&self) -> Txn<'_> {
         let wal = self.dur.as_ref().map(|d| d.writer.lock());
-        let vis = self.vis.write();
-        Txn { db: self, wal, _vis: vis, pending: Vec::new(), dirty: false }
+        let st = self.state.write();
+        Txn { db: self, wal, st, pending: Vec::new(), dirty: false }
     }
 
     /// Begin a read batch: every plan executed through the returned
@@ -420,8 +433,7 @@ impl Database {
     /// commit between the batch's executions. Use this when one logical
     /// read spans several plans (e.g. response reconstruction).
     pub fn begin_read(&self) -> ReadTxn<'_> {
-        let gate = self.vis.read();
-        ReadTxn { db: self, _gate: gate }
+        ReadTxn { db: self, st: self.state.read() }
     }
 
     /// Number of committed transactions. Monotonic; bumped under the
@@ -434,7 +446,8 @@ impl Database {
     /// Checkpoint a durable database: write a snapshot stamped with the
     /// last committed LSN (tmp + rename), then swap in a fresh WAL so
     /// the log stays short. Returns the stamped LSN. Commits are
-    /// excluded for the duration (writer lock held).
+    /// excluded for the duration (writer lock held); the snapshot is
+    /// taken under the shared gate.
     pub fn checkpoint(&self) -> Result<u64> {
         let Some(dur) = &self.dur else {
             return Err(DbError::Io("checkpoint: database is not durable".into()));
@@ -446,7 +459,7 @@ impl Database {
         // to cover them.
         w.sync()?;
         let lsn = w.next_lsn.saturating_sub(1);
-        let snap = self.snapshot_bytes(lsn)?;
+        let snap = self.state.read().snapshot_bytes(lsn)?;
         let mut f = dur.vfs.create(SNAPSHOT_TMP)?;
         f.append(&snap)?;
         f.sync()?;
@@ -463,14 +476,6 @@ impl Database {
         Ok(lsn)
     }
 
-    /// Flush any batched (group-commit) WAL appends to disk.
-    pub fn sync_wal(&self) -> Result<()> {
-        match &self.dur {
-            Some(d) => d.writer.lock().sync(),
-            None => Ok(()),
-        }
-    }
-
     /// Create a table; errors if the name is taken.
     pub fn create_table(&self, name: impl Into<String>, schema: TableSchema) -> Result<()> {
         let mut t = self.txn();
@@ -485,147 +490,19 @@ impl Database {
         t.commit()
     }
 
-    fn apply_create_table(&self, name: &str, schema: &TableSchema) -> Result<()> {
-        let mut tables = self.tables.write();
-        if tables.contains_key(name) {
-            return Err(DbError::TableExists(name.to_string()));
-        }
-        tables.insert(
-            name.to_string(),
-            Arc::new(RwLock::new(Table::new(name.to_string(), schema.clone()))),
-        );
-        Ok(())
-    }
-
-    fn apply_drop_table(&self, name: &str) -> Result<()> {
-        self.tables
-            .write()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
-    }
-
-    fn apply_create_index(
-        &self,
-        table: &str,
-        index: &str,
-        columns: &[usize],
-        unique: bool,
-    ) -> Result<()> {
-        let t = self.table(table)?;
-        let mut guard = t.write();
-        guard.create_index(index, columns.to_vec(), unique)
-    }
-
-    fn apply_insert(&self, table: &str, rows: &[Row]) -> Result<usize> {
-        let t = self.table(table)?;
-        let mut guard = t.write();
-        guard.insert_many(rows.iter().cloned())
-    }
-
-    fn apply_delete_where(&self, table: &str, pred: &Expr) -> Result<usize> {
-        let t = self.table(table)?;
-        let mut guard = t.write();
-        let mut err = None;
-        let n = guard.delete_where(|r| match pred.matches(r) {
-            Ok(b) => b,
-            Err(e) => {
-                err = Some(e);
-                false
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(n),
-        }
-    }
-
-    fn apply_update_where(
-        &self,
-        table: &str,
-        pred: Option<&Expr>,
-        sets: &[(usize, Expr)],
-    ) -> Result<usize> {
-        let t = self.table(table)?;
-        let mut guard = t.write();
-        let victims: Vec<RowId> = guard
-            .scan()
-            .filter_map(|(rid, row)| match pred {
-                None => Some(Ok(rid)),
-                Some(p) => match p.matches(row) {
-                    Ok(true) => Some(Ok(rid)),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                },
-            })
-            .collect::<Result<_>>()?;
-        let mut n = 0;
-        for rid in victims {
-            let new_values: Vec<(usize, Value)> = {
-                let row = guard.get(rid).expect("victim row is live").clone();
-                sets.iter().map(|(c, e)| e.eval(&row).map(|v| (*c, v))).collect::<Result<_>>()?
-            };
-            guard.update(rid, |row| {
-                for (c, v) in new_values {
-                    row[c] = v;
-                }
-            })?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    fn apply_truncate(&self, table: &str) -> Result<usize> {
-        let t = self.table(table)?;
-        let mut guard = t.write();
-        let n = guard.len();
-        guard.truncate();
-        Ok(n)
-    }
-
-    /// Apply one recovered WAL record to in-memory state (no logging).
-    pub(crate) fn apply_record(&self, rec: &WalRecord) -> Result<()> {
-        match rec {
-            WalRecord::CreateTable { name, schema } => self.apply_create_table(name, schema),
-            WalRecord::DropTable { name } => self.apply_drop_table(name),
-            WalRecord::CreateIndex { table, name, columns, unique } => {
-                self.apply_create_index(table, name, columns, *unique)
-            }
-            WalRecord::Insert { table, rows } => self.apply_insert(table, rows).map(|_| ()),
-            WalRecord::DeleteWhere { table, pred } => {
-                self.apply_delete_where(table, pred).map(|_| ())
-            }
-            WalRecord::UpdateWhere { table, pred, sets } => {
-                self.apply_update_where(table, pred.as_ref(), sets).map(|_| ())
-            }
-            WalRecord::Truncate { table } => self.apply_truncate(table).map(|_| ()),
-            WalRecord::ClobPut { data } => {
-                self.clobs.put(data.clone());
-                Ok(())
-            }
-            WalRecord::Commit { .. } => Ok(()),
-        }
-    }
-
-    /// Handle to a table.
-    pub fn table(&self, name: &str) -> Result<Arc<RwLock<Table>>> {
-        self.tables
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
-    }
-
     /// True when `name` exists.
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.read().contains_key(name)
+        self.state.read().tables.contains_key(name)
     }
 
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tables.read().keys().cloned().collect();
-        v.sort();
-        v
+        self.state.read().table_names()
+    }
+
+    /// A copy of a table's schema (SQL name binding).
+    pub(crate) fn schema(&self, table: &str) -> Result<TableSchema> {
+        Ok(self.state.read().table(table)?.schema.clone())
     }
 
     /// Insert rows into a named table.
@@ -660,22 +537,52 @@ impl Database {
 
     /// Number of live rows in a table.
     pub fn row_count(&self, table: &str) -> Result<usize> {
-        Ok(self.table(table)?.read().len())
+        self.state.read().row_count(table)
     }
 
     /// Rough byte footprint of all tables plus the CLOB heap.
     pub fn approx_bytes(&self) -> usize {
-        let tables = self.tables.read();
-        let rows: usize = tables.values().map(|t| t.read().approx_bytes()).sum();
-        rows + self.clobs.total_bytes()
+        let st = self.state.read();
+        let rows: usize = st.tables.values().map(Table::approx_bytes).sum();
+        rows + st.clobs.total_bytes()
+    }
+
+    /// Delete rows matching `pred` from a table; returns the count.
+    pub fn delete_where(&self, table: &str, pred: &Expr) -> Result<usize> {
+        let mut t = self.txn();
+        let n = t.delete_where(table, pred)?;
+        t.commit()?;
+        Ok(n)
+    }
+
+    /// Update rows matching `pred` (all rows when `None`): each
+    /// `(column, expr)` in `sets` is evaluated against the old row.
+    /// Returns the number of updated rows.
+    pub fn update_where(
+        &self,
+        table: &str,
+        pred: Option<&Expr>,
+        sets: &[(usize, Expr)],
+    ) -> Result<usize> {
+        let mut t = self.txn();
+        let n = t.update_where(table, pred, sets)?;
+        t.commit()?;
+        Ok(n)
+    }
+
+    /// Remove all rows of a table; returns the count removed.
+    pub fn truncate_table(&self, table: &str) -> Result<usize> {
+        let mut t = self.txn();
+        let n = t.truncate(table)?;
+        t.commit()?;
+        Ok(n)
     }
 
     /// Execute a physical plan to a materialized result. The whole
     /// execution runs under the commit-visibility gate: the plan sees
     /// one committed state even when it reads several tables.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        let _gate = self.vis.read();
-        self.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial())
+        self.begin_read().execute(plan)
     }
 
     /// [`Database::execute`] under a request [`Budget`]: the execution
@@ -684,26 +591,23 @@ impl Database {
     /// returning [`DbError::DeadlineExceeded`] /
     /// [`DbError::BudgetExceeded`] instead of a partial result.
     pub fn execute_with(&self, plan: &Plan, budget: &Arc<Budget>) -> Result<ResultSet> {
-        let _gate = self.vis.read();
-        self.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial().with_budget(budget))
+        self.begin_read().execute_with(plan, budget)
     }
 
     /// Execute a plan, evaluating independent hash-join / semi-join
     /// sides on scoped worker threads (bounded fork depth). Results are
     /// identical to [`Database::execute`]; use this for latency-bound
     /// queries whose plans contain data-independent subtrees, such as
-    /// the catalog's per-criterion match branches.
+    /// the catalog's per-attribute match branches.
     pub fn execute_parallel(&self, plan: &Plan) -> Result<ResultSet> {
-        let _gate = self.vis.read();
-        self.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::parallel())
+        self.begin_read().execute_parallel(plan)
     }
 
     /// [`Database::execute_parallel`] under a request [`Budget`]. The
     /// budget is shared by every forked subplan (one deadline, one row
     /// and byte pool), so parallelism cannot be used to dodge limits.
     pub fn execute_parallel_with(&self, plan: &Plan, budget: &Arc<Budget>) -> Result<ResultSet> {
-        let _gate = self.vis.read();
-        self.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::parallel().with_budget(budget))
+        self.begin_read().execute_parallel_with(plan, budget)
     }
 
     /// Execute a plan while collecting per-operator row counts and
@@ -712,10 +616,131 @@ impl Database {
     /// ([`crate::explain::explain_analyze`]). Profiled runs are always
     /// sequential so that per-branch timings are attributable.
     pub fn execute_profiled(&self, plan: &Plan) -> Result<(ResultSet, PlanProfile)> {
-        let _gate = self.vis.read();
+        let st = self.state.read();
         let mut prof = Some(PlanProfile::default());
-        let rs = self.exec_node(plan, &mut prof, &mut Vec::new(), &ExecCtx::serial())?;
+        let rs = st.exec_node(plan, &mut prof, &mut Vec::new(), &ExecCtx::serial())?;
         Ok((rs, prof.expect("profiler installed above")))
+    }
+}
+
+impl State {
+    pub(crate) fn table(&self, name: &str) -> Result<&Table> {
+        self.tables.get(name).ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+    }
+
+    pub(crate) fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
+        self.tables.get_mut(name).ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+    }
+
+    pub(crate) fn table_names(&self) -> Vec<String> {
+        let mut v: Vec<String> = self.tables.keys().cloned().collect();
+        v.sort();
+        v
+    }
+
+    fn row_count(&self, table: &str) -> Result<usize> {
+        Ok(self.table(table)?.len())
+    }
+
+    pub(crate) fn apply_create_table(&mut self, name: &str, schema: &TableSchema) -> Result<()> {
+        if self.tables.contains_key(name) {
+            return Err(DbError::TableExists(name.to_string()));
+        }
+        self.tables
+            .insert(name.to_string(), Table::new(name.to_string(), schema.clone()));
+        Ok(())
+    }
+
+    fn apply_drop_table(&mut self, name: &str) -> Result<()> {
+        self.tables
+            .remove(name)
+            .map(|_| ())
+            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+    }
+
+    fn apply_create_index(
+        &mut self,
+        table: &str,
+        index: &str,
+        columns: &[usize],
+        unique: bool,
+    ) -> Result<()> {
+        self.table_mut(table)?.create_index(index, columns.to_vec(), unique)
+    }
+
+    fn apply_insert(&mut self, table: &str, rows: &[Row]) -> Result<usize> {
+        self.table_mut(table)?.insert_many(rows.iter().cloned())
+    }
+
+    fn apply_delete_where(&mut self, table: &str, pred: &Expr) -> Result<usize> {
+        let guard = self.table_mut(table)?;
+        let mut err = None;
+        let n = guard.delete_where(|r| match pred.matches(r) {
+            Ok(b) => b,
+            Err(e) => {
+                err = Some(e);
+                false
+            }
+        });
+        match err {
+            Some(e) => Err(e),
+            None => Ok(n),
+        }
+    }
+
+    fn apply_update_where(
+        &mut self,
+        table: &str,
+        pred: Option<&Expr>,
+        sets: &[(usize, Expr)],
+    ) -> Result<usize> {
+        let guard = self.table_mut(table)?;
+        let mut updates = Vec::new();
+        for (rid, row) in guard.scan() {
+            if let Some(p) = pred {
+                if !p.matches(row)? {
+                    continue;
+                }
+            }
+            // Every `set` reads the old row.
+            let mut new_row = row.clone();
+            for (c, e) in sets {
+                new_row[*c] = e.eval(row)?;
+            }
+            updates.push((rid, new_row));
+        }
+        guard.update_rows(updates)
+    }
+
+    fn apply_truncate(&mut self, table: &str) -> Result<usize> {
+        let guard = self.table_mut(table)?;
+        let n = guard.len();
+        guard.truncate();
+        Ok(n)
+    }
+
+    /// Apply one recovered WAL record to in-memory state (no logging).
+    fn apply_record(&mut self, rec: &WalRecord) -> Result<()> {
+        match rec {
+            WalRecord::CreateTable { name, schema } => self.apply_create_table(name, schema),
+            WalRecord::DropTable { name } => self.apply_drop_table(name),
+            WalRecord::CreateIndex { table, name, columns, unique } => {
+                self.apply_create_index(table, name, columns, *unique)
+            }
+            WalRecord::Insert { table, rows } => self.apply_insert(table, rows).map(|_| ()),
+            WalRecord::DeleteWhere { table, pred } => {
+                self.apply_delete_where(table, pred).map(|_| ())
+            }
+            WalRecord::UpdateWhere { table, pred, sets } => {
+                self.apply_update_where(table, pred.as_ref(), sets).map(|_| ())
+            }
+            WalRecord::Truncate { table } => self.apply_truncate(table).map(|_| ()),
+            WalRecord::ClobPut { data } => {
+                self.clobs.put(data.clone());
+                Ok(())
+            }
+            WalRecord::Commit { .. } => Ok(()),
+        }
     }
 
     fn exec_child(
@@ -755,8 +780,7 @@ impl Database {
         let start = prof.as_ref().map(|_| Instant::now());
         let result = match plan {
             Plan::Scan { table, filter } => {
-                let t = self.table(table)?;
-                let guard = t.read();
+                let guard = self.table(table)?;
                 let columns: Vec<String> =
                     guard.schema.columns.iter().map(|c| c.name.clone()).collect();
                 let mut rows = Vec::with_capacity(guard.len());
@@ -766,7 +790,7 @@ impl Database {
                 // narrowed row set, so partial coverage (and residual
                 // range/LIKE terms) stay correct.
                 let mut it = 0u32;
-                for_each_matching(&guard, filter.as_ref(), |r| {
+                for_each_matching(guard, filter.as_ref(), |r| {
                     ctx.tick(&mut it, rows.len())?;
                     rows.push(r.clone());
                     Ok(())
@@ -774,8 +798,7 @@ impl Database {
                 Ok(ResultSet { columns, rows })
             }
             Plan::IndexLookup { table, index, key, filter } => {
-                let t = self.table(table)?;
-                let guard = t.read();
+                let guard = self.table(table)?;
                 let columns: Vec<String> =
                     guard.schema.columns.iter().map(|c| c.name.clone()).collect();
                 let idx = guard.index(index)?;
@@ -805,8 +828,7 @@ impl Database {
                 Ok(ResultSet { columns, rows })
             }
             Plan::IndexRange { table, index, lo, hi, filter } => {
-                let t = self.table(table)?;
-                let guard = t.read();
+                let guard = self.table(table)?;
                 let columns: Vec<String> =
                     guard.schema.columns.iter().map(|c| c.name.clone()).collect();
                 let idx = guard.index(index)?;
@@ -968,10 +990,9 @@ impl Database {
     /// `true` when every listed column of `table` is `INT NOT NULL` —
     /// the precondition for representing its rows as `(i64, i64)` keys.
     fn int_non_null_cols(&self, table: &str, cols: &[usize]) -> bool {
-        let Ok(t) = self.table(table) else {
+        let Ok(guard) = self.table(table) else {
             return false;
         };
-        let guard = t.read();
         cols.iter().all(|&c| {
             guard
                 .schema
@@ -1040,7 +1061,7 @@ impl Database {
         }
     }
 
-    /// Execute a keyable subtree (see [`Database::keyed_arity`]) over
+    /// Execute a keyable subtree (see `keyed_arity`) over
     /// compact integer keys, recording keyed per-operator stats so
     /// `EXPLAIN ANALYZE` output stays fully annotated.
     fn eval_keys(
@@ -1101,11 +1122,10 @@ impl Database {
                 }
                 match &**input {
                     Plan::Scan { table, filter } => {
-                        let t = self.table(table)?;
-                        let guard = t.read();
+                        let guard = self.table(table)?;
                         let mut keys = Vec::new();
                         let mut it = 0u32;
-                        for_each_matching(&guard, filter.as_ref(), |r| {
+                        for_each_matching(guard, filter.as_ref(), |r| {
                             ctx.tick(&mut it, keys.len())?;
                             keys.push(row_key(r, &cols)?);
                             Ok(())
@@ -1133,12 +1153,11 @@ impl Database {
                             bk.keys.iter().map(|&k| key_proj(k, build_keys)).collect(),
                         );
                         let scan_start = prof.as_ref().map(|_| Instant::now());
-                        let t = self.table(table)?;
-                        let guard = t.read();
+                        let guard = self.table(table)?;
                         let mut scanned = 0usize;
                         let mut keys = Vec::new();
                         let mut it = 0u32;
-                        for_each_matching(&guard, filter.as_ref(), |r| {
+                        for_each_matching(guard, filter.as_ref(), |r| {
                             ctx.tick(&mut it, keys.len())?;
                             scanned += 1;
                             if set.contains(row_key(r, probe_keys)?) != *anti {
@@ -1175,37 +1194,6 @@ impl Database {
             ))),
         }
     }
-
-    /// Delete rows matching `pred` from a table; returns the count.
-    pub fn delete_where(&self, table: &str, pred: &Expr) -> Result<usize> {
-        let mut t = self.txn();
-        let n = t.delete_where(table, pred)?;
-        t.commit()?;
-        Ok(n)
-    }
-
-    /// Update rows matching `pred` (all rows when `None`): each
-    /// `(column, expr)` in `sets` is evaluated against the old row.
-    /// Returns the number of updated rows.
-    pub fn update_where(
-        &self,
-        table: &str,
-        pred: Option<&Expr>,
-        sets: &[(usize, Expr)],
-    ) -> Result<usize> {
-        let mut t = self.txn();
-        let n = t.update_where(table, pred, sets)?;
-        t.commit()?;
-        Ok(n)
-    }
-
-    /// Remove all rows of a table; returns the count removed.
-    pub fn truncate_table(&self, table: &str) -> Result<usize> {
-        let mut t = self.txn();
-        let n = t.truncate(table)?;
-        t.commit()?;
-        Ok(n)
-    }
 }
 
 impl Drop for Database {
@@ -1241,7 +1229,7 @@ impl Drop for Database {
 pub struct Txn<'a> {
     db: &'a Database,
     wal: Option<MutexGuard<'a, WalWriter>>,
-    _vis: RwLockWriteGuard<'a, ()>,
+    st: RwLockWriteGuard<'a, State>,
     pending: Vec<WalRecord>,
     dirty: bool,
 }
@@ -1261,20 +1249,20 @@ impl Txn<'_> {
     /// sequence numbers, then insert) stay atomic with respect to
     /// concurrent writers.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        self.db.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial())
+        self.st.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial())
     }
 
     /// Create a table (see [`Database::create_table`]).
     pub fn create_table(&mut self, name: impl Into<String>, schema: TableSchema) -> Result<()> {
         let name = name.into();
-        self.db.apply_create_table(&name, &schema)?;
+        self.st.apply_create_table(&name, &schema)?;
         self.log(|| WalRecord::CreateTable { name, schema });
         Ok(())
     }
 
     /// Drop a table.
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
-        self.db.apply_drop_table(name)?;
+        self.st.apply_drop_table(name)?;
         self.log(|| WalRecord::DropTable { name: name.to_string() });
         Ok(())
     }
@@ -1287,19 +1275,9 @@ impl Txn<'_> {
         columns: &[&str],
         unique: bool,
     ) -> Result<()> {
-        let cols: Vec<usize> = {
-            let t = self.db.table(table)?;
-            let guard = t.read();
-            columns.iter().map(|c| guard.schema.col(c)).collect::<Result<_>>()?
-        };
-        self.db.apply_create_index(table, index, &cols, unique)?;
-        self.log(|| WalRecord::CreateIndex {
-            table: table.to_string(),
-            name: index.to_string(),
-            columns: cols,
-            unique,
-        });
-        Ok(())
+        let schema = &self.st.table(table)?.schema;
+        let cols: Vec<usize> = columns.iter().map(|c| schema.col(c)).collect::<Result<_>>()?;
+        self.create_index_at(table, index, cols, unique)
     }
 
     /// Create an index over already-resolved column positions.
@@ -1310,7 +1288,7 @@ impl Txn<'_> {
         columns: Vec<usize>,
         unique: bool,
     ) -> Result<()> {
-        self.db.apply_create_index(table, index, &columns, unique)?;
+        self.st.apply_create_index(table, index, &columns, unique)?;
         self.log(|| WalRecord::CreateIndex {
             table: table.to_string(),
             name: index.to_string(),
@@ -1322,14 +1300,14 @@ impl Txn<'_> {
 
     /// Insert fully-shaped rows.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
-        let n = self.db.apply_insert(table, &rows)?;
+        let n = self.st.apply_insert(table, &rows)?;
         self.log(|| WalRecord::Insert { table: table.to_string(), rows });
         Ok(n)
     }
 
     /// Delete rows matching `pred`; returns the count.
     pub fn delete_where(&mut self, table: &str, pred: &Expr) -> Result<usize> {
-        let n = self.db.apply_delete_where(table, pred)?;
+        let n = self.st.apply_delete_where(table, pred)?;
         self.log(|| WalRecord::DeleteWhere { table: table.to_string(), pred: pred.clone() });
         Ok(n)
     }
@@ -1341,7 +1319,7 @@ impl Txn<'_> {
         pred: Option<&Expr>,
         sets: &[(usize, Expr)],
     ) -> Result<usize> {
-        let n = self.db.apply_update_where(table, pred, sets)?;
+        let n = self.st.apply_update_where(table, pred, sets)?;
         self.log(|| WalRecord::UpdateWhere {
             table: table.to_string(),
             pred: pred.cloned(),
@@ -1352,7 +1330,7 @@ impl Txn<'_> {
 
     /// Remove all rows of a table; returns the count removed.
     pub fn truncate(&mut self, table: &str) -> Result<usize> {
-        let n = self.db.apply_truncate(table)?;
+        let n = self.st.apply_truncate(table)?;
         self.log(|| WalRecord::Truncate { table: table.to_string() });
         Ok(n)
     }
@@ -1361,12 +1339,9 @@ impl Txn<'_> {
     pub fn put_clob(&mut self, data: Vec<u8>) -> u64 {
         self.dirty = true;
         if self.wal.is_some() {
-            let loc = self.db.clobs.put(data.clone());
-            self.pending.push(WalRecord::ClobPut { data });
-            loc
-        } else {
-            self.db.clobs.put(data)
+            self.pending.push(WalRecord::ClobPut { data: data.clone() });
         }
+        self.st.clobs.put(data)
     }
 
     /// Make the batch durable and visible: append + fsync the WAL
@@ -1394,26 +1369,26 @@ impl Txn<'_> {
 /// observes the same committed state.
 pub struct ReadTxn<'a> {
     db: &'a Database,
-    _gate: RwLockReadGuard<'a, ()>,
+    st: RwLockReadGuard<'a, State>,
 }
 
 impl ReadTxn<'_> {
     /// Execute a plan against the batch's snapshot.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        self.db.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial())
+        self.st.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial())
     }
 
     /// [`ReadTxn::execute`] with parallel evaluation of independent
     /// join sides (see [`Database::execute_parallel`]).
     pub fn execute_parallel(&self, plan: &Plan) -> Result<ResultSet> {
-        self.db.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::parallel())
+        self.st.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::parallel())
     }
 
     /// [`ReadTxn::execute`] charging work against `budget` (see
     /// [`Database::execute_with`]): cooperative deadline checks and
     /// row/byte accounting shared with the rest of the request.
     pub fn execute_with(&self, plan: &Plan, budget: &Arc<Budget>) -> Result<ResultSet> {
-        self.db
+        self.st
             .exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial().with_budget(budget))
     }
 
@@ -1421,7 +1396,7 @@ impl ReadTxn<'_> {
     /// Forked subplans share the same tracker, so parallelism cannot
     /// dodge the limits.
     pub fn execute_parallel_with(&self, plan: &Plan, budget: &Arc<Budget>) -> Result<ResultSet> {
-        self.db.exec_node(
+        self.st.exec_node(
             plan,
             &mut None,
             &mut Vec::new(),
@@ -1431,7 +1406,22 @@ impl ReadTxn<'_> {
 
     /// Number of live rows in a table, as of the batch's snapshot.
     pub fn row_count(&self, table: &str) -> Result<usize> {
-        Ok(self.db.table(table)?.read().len())
+        self.st.row_count(table)
+    }
+
+    /// Names of all tables, sorted.
+    pub fn table_names(&self) -> Vec<String> {
+        self.st.table_names()
+    }
+
+    /// Fetch a CLOB as UTF-8 text by locator.
+    pub fn clob_str(&self, id: u64) -> Result<String> {
+        self.st.clobs.get_str(id)
+    }
+
+    /// Total bytes in the CLOB heap.
+    pub fn clob_bytes(&self) -> usize {
+        self.st.clobs.total_bytes()
     }
 
     /// The commit watermark this batch reads at.

@@ -1,20 +1,21 @@
-//! Database snapshots: save/load the whole store to a file.
+//! Database snapshots: the whole store as one checksummed image.
 //!
 //! The engine is in-memory; a grid catalog still needs to survive
-//! restarts, so the database serializes to a compact binary snapshot
-//! (tables with schemas and live rows, indexes as definitions that are
-//! rebuilt on load, and the CLOB heap). The format is versioned and
+//! restarts, so checkpoints ([`Database::checkpoint`]) serialize the
+//! database to a compact binary snapshot (tables with schemas and live
+//! rows, indexes as definitions that are rebuilt on load, and the CLOB
+//! heap) that recovery loads before replaying the WAL tail. The same
+//! image backs [`Database::state_image`]. The format is versioned and
 //! length-prefixed throughout; loads validate every tag and bound, and
 //! the whole image is covered by a trailing CRC32 so any bit flip
 //! surfaces as a clean [`DbError`] rather than silently-wrong data.
 
 use crate::clob::ClobStore;
-use crate::db::Database;
+use crate::db::{Database, State};
 use crate::error::{DbError, Result};
 use crate::table::{Column, TableSchema};
 use crate::value::{DataType, Value};
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{Read, Write};
 
 const MAGIC: &[u8; 4] = b"MDB1";
 
@@ -208,29 +209,10 @@ pub(crate) fn dtype_from(code: u8) -> Result<DataType> {
     })
 }
 
-impl Database {
-    /// Write the whole database (tables, index definitions, CLOB heap)
-    /// to `path`. Concurrent writers are excluded per-table while each
-    /// table is copied. The snapshot is stamped with LSN 0; durable
-    /// databases checkpoint through [`crate::wal`] instead, which
-    /// stamps the real log position.
-    pub fn save_to(&self, path: impl AsRef<Path>) -> Result<()> {
-        let file = std::fs::File::create(path).map_err(io_err)?;
-        let mut w = BufWriter::new(file);
-        self.write_snapshot(&mut w, 0)?;
-        w.flush().map_err(io_err)
-    }
-
-    /// Load a database previously written by [`Database::save_to`].
-    pub fn load_from(path: impl AsRef<Path>) -> Result<Database> {
-        let file = std::fs::File::open(path).map_err(io_err)?;
-        let (db, _lsn) = read_snapshot(BufReader::new(file))?;
-        Ok(db)
-    }
-
+impl State {
     /// Serialize the snapshot (header stamped with `lsn`) to any
     /// writer, appending a CRC32 trailer over everything before it.
-    pub(crate) fn write_snapshot<W: Write>(&self, w: W, lsn: u64) -> Result<()> {
+    fn write_snapshot<W: Write>(&self, w: W, lsn: u64) -> Result<()> {
         let mut cw = CrcWriter { inner: w, crc: 0xFFFF_FFFF };
         self.write_snapshot_body(&mut cw, lsn)?;
         let digest = cw.crc ^ 0xFFFF_FFFF;
@@ -246,8 +228,7 @@ impl Database {
         let names = self.table_names();
         enc.u32(names.len() as u32)?;
         for name in &names {
-            let t = self.table(name)?;
-            let guard = t.read();
+            let guard = self.table(name)?;
             enc.string(name)?;
             // Schema.
             enc.u32(guard.schema.columns.len() as u32)?;
@@ -278,7 +259,8 @@ impl Database {
         save_clobs(&self.clobs, &mut enc)
     }
 
-    /// Serialize the snapshot to a byte buffer (used by checkpoints).
+    /// Serialize the snapshot to a byte buffer (checkpoints and
+    /// [`Database::state_image`]).
     pub(crate) fn snapshot_bytes(&self, lsn: u64) -> Result<Vec<u8>> {
         let mut buf = Vec::new();
         self.write_snapshot(&mut buf, lsn)?;
@@ -289,10 +271,11 @@ impl Database {
 /// Parse snapshot bytes into a fresh (non-durable) database plus the
 /// stamped LSN. Recovery attaches the WAL afterwards.
 pub(crate) fn load_snapshot_bytes(bytes: &[u8]) -> Result<(Database, u64)> {
-    read_snapshot(bytes)
+    let (state, lsn) = read_snapshot(bytes)?;
+    Ok((Database::from_state(state), lsn))
 }
 
-fn read_snapshot<R: Read>(r: R) -> Result<(Database, u64)> {
+fn read_snapshot<R: Read>(r: R) -> Result<(State, u64)> {
     let mut cr = CrcReader { inner: r, crc: 0xFFFF_FFFF };
     let parsed = read_snapshot_body(&mut cr)?;
     let digest = cr.crc ^ 0xFFFF_FFFF;
@@ -306,7 +289,7 @@ fn read_snapshot<R: Read>(r: R) -> Result<(Database, u64)> {
     Ok(parsed)
 }
 
-fn read_snapshot_body<R: Read>(r: R) -> Result<(Database, u64)> {
+fn read_snapshot_body<R: Read>(r: R) -> Result<(State, u64)> {
     let mut dec = Dec { r };
     let mut magic = [0u8; 4];
     dec.r.read_exact(&mut magic).map_err(io_err)?;
@@ -318,7 +301,7 @@ fn read_snapshot_body<R: Read>(r: R) -> Result<(Database, u64)> {
         return Err(DbError::Parse(format!("snapshot: unsupported version {version}")));
     }
     let lsn = dec.u64()?;
-    let db = Database::new();
+    let mut st = State::default();
     let n_tables = dec.u32()?;
     for _ in 0..n_tables {
         let name = dec.string()?;
@@ -331,7 +314,7 @@ fn read_snapshot_body<R: Read>(r: R) -> Result<(Database, u64)> {
             cols.push(Column { name: cname, dtype, nullable });
         }
         let arity = cols.len();
-        db.create_table(name.clone(), TableSchema::new(cols))?;
+        st.apply_create_table(&name, &TableSchema::new(cols))?;
         // Indexes: recorded now, created after rows are inserted so
         // unique indexes validate the loaded data once.
         let n_idx = dec.u32()?;
@@ -347,23 +330,20 @@ fn read_snapshot_body<R: Read>(r: R) -> Result<(Database, u64)> {
             idx_defs.push((iname, unique, keys));
         }
         let n_rows = dec.u64()?;
-        {
-            let t = db.table(&name)?;
-            let mut guard = t.write();
-            for _ in 0..n_rows {
-                let mut row = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    row.push(dec.value()?);
-                }
-                guard.insert(row)?;
+        let guard = st.table_mut(&name)?;
+        for _ in 0..n_rows {
+            let mut row = Vec::with_capacity(arity);
+            for _ in 0..arity {
+                row.push(dec.value()?);
             }
-            for (iname, unique, keys) in idx_defs {
-                guard.create_index(iname, keys, unique)?;
-            }
+            guard.insert(row)?;
+        }
+        for (iname, unique, keys) in idx_defs {
+            guard.create_index(iname, keys, unique)?;
         }
     }
-    load_clobs(&db.clobs, &mut dec)?;
-    Ok((db, lsn))
+    load_clobs(&mut st.clobs, &mut dec)?;
+    Ok((st, lsn))
 }
 
 fn save_clobs<W: Write>(clobs: &ClobStore, enc: &mut Enc<W>) -> Result<()> {
@@ -376,7 +356,7 @@ fn save_clobs<W: Write>(clobs: &ClobStore, enc: &mut Enc<W>) -> Result<()> {
     Ok(())
 }
 
-fn load_clobs<R: Read>(clobs: &ClobStore, dec: &mut Dec<R>) -> Result<()> {
+fn load_clobs<R: Read>(clobs: &mut ClobStore, dec: &mut Dec<R>) -> Result<()> {
     let n = dec.u64()?;
     for _ in 0..n {
         clobs.put(dec.bytes()?);
@@ -389,8 +369,13 @@ mod tests {
     use super::*;
     use crate::exec::Plan;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("minidb-snap-{name}-{}", std::process::id()))
+    /// Serialize `db` and load the image back into a fresh database.
+    fn reload(db: &Database) -> Database {
+        load_snapshot_bytes(&db.state_image().unwrap()).unwrap().0
+    }
+
+    fn load(bytes: &[u8]) -> Result<Database> {
+        load_snapshot_bytes(bytes).map(|(db, _)| db)
     }
 
     fn populated() -> Database {
@@ -399,7 +384,7 @@ mod tests {
             .unwrap();
         db.execute_sql("CREATE UNIQUE INDEX t_pk ON t (id)").unwrap();
         db.execute_sql("CREATE INDEX t_by_name ON t (name, w)").unwrap();
-        let loc = db.clobs.put("<xml>hello</xml>".as_bytes().to_vec());
+        let loc = db.put_clob("<xml>hello</xml>".as_bytes().to_vec()).unwrap();
         db.insert(
             "t",
             vec![
@@ -418,10 +403,7 @@ mod tests {
         db.execute_sql("INSERT INTO t VALUES (3, 'temp', 0.0, false, NULL)").unwrap();
         db.execute_sql("DELETE FROM t WHERE id = 3").unwrap();
 
-        let path = tmp("roundtrip");
-        db.save_to(&path).unwrap();
-        let loaded = Database::load_from(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let loaded = reload(&db);
 
         assert_eq!(loaded.table_names(), db.table_names());
         assert_eq!(loaded.row_count("t").unwrap(), 2);
@@ -436,7 +418,7 @@ mod tests {
         // CLOB heap survives and locators still resolve.
         let rs = loaded.execute_sql("SELECT doc FROM t WHERE id = 1").unwrap();
         let loc = rs.rows[0][0].as_i64().unwrap();
-        assert_eq!(loaded.clobs.get_str(loc as u64).unwrap(), "<xml>hello</xml>");
+        assert_eq!(loaded.begin_read().clob_str(loc as u64).unwrap(), "<xml>hello</xml>");
         // Indexes were rebuilt: unique constraint enforced, lookups work.
         assert!(loaded.execute_sql("INSERT INTO t VALUES (1, 'dup', 0.0, false, NULL)").is_err());
         let rs = loaded
@@ -453,10 +435,7 @@ mod tests {
     #[test]
     fn schema_nullability_restored() {
         let db = populated();
-        let path = tmp("nullability");
-        db.save_to(&path).unwrap();
-        let loaded = Database::load_from(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let loaded = reload(&db);
         // id is NOT NULL: inserting NULL must fail.
         assert!(loaded
             .insert(
@@ -468,34 +447,23 @@ mod tests {
 
     #[test]
     fn bad_files_rejected() {
-        let path = tmp("bad");
-        std::fs::write(&path, b"NOPEgarbage").unwrap();
-        assert!(Database::load_from(&path).is_err());
-        std::fs::write(&path, b"MD").unwrap();
-        assert!(Database::load_from(&path).is_err());
-        std::fs::remove_file(&path).ok();
-        assert!(Database::load_from(tmp("missing-file")).is_err());
+        assert!(load(b"NOPEgarbage").is_err());
+        assert!(load(b"MD").is_err());
+        assert!(load(b"").is_err());
     }
 
     #[test]
     fn empty_database_roundtrips() {
         let db = Database::new();
-        let path = tmp("empty");
-        db.save_to(&path).unwrap();
-        let loaded = Database::load_from(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let loaded = reload(&db);
         assert!(loaded.table_names().is_empty());
-        assert_eq!(loaded.clobs.len(), 0);
+        assert!(loaded.begin_read().clob_str(0).is_err());
     }
 
     #[test]
     fn truncated_file_rejected() {
         let db = populated();
-        let path = tmp("trunc");
-        db.save_to(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(Database::load_from(&path).is_err());
-        std::fs::remove_file(&path).ok();
+        let bytes = db.state_image().unwrap();
+        assert!(load(&bytes[..bytes.len() / 2]).is_err());
     }
 }

@@ -228,6 +228,21 @@ mod update_tests {
     }
 
     #[test]
+    fn unique_keys_are_checked_after_the_whole_update() {
+        let db = setup();
+        db.execute_sql("CREATE UNIQUE INDEX pk ON emp (id)").unwrap();
+        // Row by row, 1 -> 2 would collide with the row still holding 2.
+        let rs = db.execute_sql("UPDATE emp SET id = id + 1").unwrap();
+        assert_eq!(rs.rows[0][0], Value::Int(3));
+        let rs = db.execute_sql("SELECT SUM(id) FROM emp").unwrap();
+        assert_eq!(rs.rows[0][0], Value::Int(2 + 3 + 4));
+        // A violating update changes no row, not even the first.
+        assert!(db.execute_sql("UPDATE emp SET id = 9").is_err());
+        let rs = db.execute_sql("SELECT SUM(id) FROM emp").unwrap();
+        assert_eq!(rs.rows[0][0], Value::Int(2 + 3 + 4));
+    }
+
+    #[test]
     fn update_errors() {
         let db = setup();
         assert!(db.execute_sql("UPDATE missing SET x = 1").is_err());

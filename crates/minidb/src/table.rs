@@ -7,6 +7,7 @@
 
 use crate::error::{DbError, Result};
 use crate::value::{DataType, Value};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A row is a boxed slice of values, one per column.
@@ -288,23 +289,33 @@ impl Table {
 
     /// Delete a row by id; returns true if it was live.
     pub fn delete(&mut self, rid: RowId) -> bool {
-        let Some(slot) = self.rows.get_mut(rid) else {
-            return false;
-        };
-        let Some(row) = slot.take() else {
-            return false;
-        };
+        self.remove(rid).is_some()
+    }
+
+    /// Take a live row out of its slot and every index.
+    fn remove(&mut self, rid: RowId) -> Option<Row> {
+        let row = self.rows.get_mut(rid)?.take()?;
         self.live -= 1;
         for idx in &mut self.indexes {
             let key = idx.key_of(&row);
-            if let Some(ids) = idx.map.get_mut(&key) {
-                ids.retain(|&r| r != rid);
-                if ids.is_empty() {
-                    idx.map.remove(&key);
+            if let Entry::Occupied(mut ids) = idx.map.entry(key) {
+                ids.get_mut().retain(|&r| r != rid);
+                if ids.get().is_empty() {
+                    ids.remove();
                 }
             }
         }
-        true
+        Some(row)
+    }
+
+    /// Put `row` into the empty slot `rid` and every index.
+    fn place(&mut self, rid: RowId, row: Row) {
+        for idx in &mut self.indexes {
+            let key = idx.key_of(&row);
+            idx.map.entry(key).or_default().push(rid);
+        }
+        self.rows[rid] = Some(row);
+        self.live += 1;
     }
 
     /// Delete every row matching `pred`; returns the count removed.
@@ -321,35 +332,41 @@ impl Table {
         victims.len()
     }
 
-    /// Update a row in place through `f`; index entries are refreshed.
-    /// The RowId stays stable; on constraint violation the old row is
-    /// restored and an error returned.
-    pub fn update(&mut self, rid: RowId, f: impl FnOnce(&mut Row)) -> Result<bool> {
-        let Some(Some(old)) = self.rows.get(rid).cloned() else {
-            return Ok(false);
-        };
-        let mut new_row = old.clone();
-        f(&mut new_row);
-        self.schema.check(&new_row)?;
-        // Remove old index entries so the unique check doesn't see the
-        // row's own previous key.
-        self.delete(rid);
-        let violation = self
-            .indexes
+    /// Replace live rows in place: RowIds stay stable and index entries
+    /// are refreshed. Unique indexes are checked against the state after
+    /// the whole batch, so shifting a key range (`pos = pos + 1`) never
+    /// collides with a row that is itself about to move. On a schema or
+    /// constraint violation no row changes.
+    pub fn update_rows(&mut self, updates: Vec<(RowId, Row)>) -> Result<usize> {
+        for (_, row) in &updates {
+            self.schema.check(row)?;
+        }
+        // With the old rows out of the indexes, each unique check sees
+        // the rows the batch leaves alone plus the new rows placed so far.
+        let old: Vec<(RowId, Row)> = updates
             .iter()
-            .find(|idx| idx.unique && !idx.get(&idx.key_of(&new_row)).is_empty())
-            .map(|idx| idx.name.clone());
-        let row_to_store = if violation.is_some() { &old } else { &new_row };
-        for idx in &mut self.indexes {
-            let key = idx.key_of(row_to_store);
-            idx.map.entry(key).or_default().push(rid);
+            .filter_map(|&(rid, _)| self.remove(rid).map(|row| (rid, row)))
+            .collect();
+        let mut placed = Vec::with_capacity(updates.len());
+        for (rid, row) in updates {
+            if let Some(idx) = self
+                .indexes
+                .iter()
+                .find(|idx| idx.unique && !idx.get(&idx.key_of(&row)).is_empty())
+            {
+                let err = DbError::Duplicate(format!("index {} on update", idx.name));
+                for rid in placed {
+                    self.remove(rid);
+                }
+                for (rid, row) in old {
+                    self.place(rid, row);
+                }
+                return Err(err);
+            }
+            self.place(rid, row);
+            placed.push(rid);
         }
-        self.rows[rid] = Some(row_to_store.clone());
-        self.live += 1;
-        match violation {
-            Some(name) => Err(DbError::Duplicate(format!("index {name} on update"))),
-            None => Ok(true),
-        }
+        Ok(placed.len())
     }
 
     /// Iterate live rows as `(RowId, &Row)`.
@@ -500,7 +517,9 @@ mod tests {
     fn update_refreshes_indexes() {
         let mut t = people();
         t.create_index("by_age", vec![2], false).unwrap();
-        t.update(0, |r| r[2] = 40.into()).unwrap();
+        let mut row = t.get(0).unwrap().clone();
+        row[2] = 40.into();
+        t.update_rows(vec![(0, row)]).unwrap();
         assert_eq!(t.index("by_age").unwrap().get(&[36.into()]).len(), 1);
         assert_eq!(t.index("by_age").unwrap().get(&[40.into()]).len(), 1);
         assert_eq!(t.len(), 3);

@@ -111,13 +111,9 @@ proptest! {
                 name.clone().map(Value::Str).unwrap_or(Value::Null),
             ]]).unwrap();
         }
-        let path = std::env::temp_dir().join(format!(
-            "minidb-prop-{}-{:x}", std::process::id(),
-            rows.len() as u64 ^ rows.first().map(|(i, _)| *i as u64).unwrap_or(7)
-        ));
-        db.save_to(&path).unwrap();
-        let loaded = Database::load_from(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let vfs = MemVfs::new();
+        vfs.overwrite(minidb::wal::SNAPSHOT_FILE, db.state_image().unwrap());
+        let loaded = Database::open_with(std::sync::Arc::new(vfs), WalOptions::default()).unwrap();
         let a = db.execute(&Plan::Scan { table: "t".into(), filter: None }).unwrap();
         let b = loaded.execute(&Plan::Scan { table: "t".into(), filter: None }).unwrap();
         prop_assert_eq!(a.rows, b.rows);

@@ -152,24 +152,27 @@ fn random_corruption_never_panics() {
 }
 
 #[test]
-fn on_disk_load_from_rejects_corruption_too() {
+fn on_disk_open_rejects_corruption_too() {
     let dir = std::env::temp_dir().join(format!("minidb-snapfuzz-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let image = snapshot_image();
-    let path = dir.join("snap.mdb");
+    let wal = empty_wal();
+    let open = |snapshot: &[u8]| {
+        std::fs::write(dir.join(SNAPSHOT_FILE), snapshot).unwrap();
+        std::fs::write(dir.join(WAL_FILE), &wal).unwrap();
+        Database::open(&dir)
+    };
 
-    std::fs::write(&path, &image[..image.len() / 2]).unwrap();
-    assert!(Database::load_from(&path).is_err(), "truncated file accepted");
+    assert!(open(&image[..image.len() / 2]).is_err(), "truncated file accepted");
 
     let mut flipped = image.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x40;
-    std::fs::write(&path, &flipped).unwrap();
-    assert!(Database::load_from(&path).is_err(), "bit-flipped file accepted");
+    assert!(open(&flipped).is_err(), "bit-flipped file accepted");
 
-    std::fs::write(&path, &image).unwrap();
-    let db = Database::load_from(&path).expect("pristine file must load");
+    let db = open(&image).expect("pristine file must load");
     let rs = db.execute_sql("SELECT COUNT(*) FROM attrs").unwrap();
     assert_eq!(rs.rows[0][0], Value::Int(40));
+    drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }

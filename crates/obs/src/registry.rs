@@ -93,8 +93,9 @@ impl MetricsRegistry {
     }
 
     pub(crate) fn record_slow(&self, name: &'static str, nanos: u64, detail: Option<String>) {
-        let seq = self.slow_seq.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.slow_ring.lock();
+        // Numbered under the lock, so ring order is sequence order.
+        let seq = self.slow_seq.fetch_add(1, Ordering::Relaxed);
         if ring.len() == SLOW_RING_CAPACITY {
             ring.pop_front();
         }

@@ -1,7 +1,10 @@
 //! `mylead` — command-line front end for the hybrid metadata catalog.
 //!
-//! The catalog state lives in a snapshot file (created by `init`),
-//! loaded at the start of each command and saved back after mutations:
+//! The catalog state lives in a durable catalog directory (created by
+//! `init`; every other command fails if it is missing). Each command
+//! opens it with [`MetadataCatalog::open`], which recovers the last
+//! checkpoint plus the write-ahead log, and every mutation commits
+//! through the log before the command reports it:
 //!
 //! ```text
 //! mylead init      -s cat.db
@@ -16,6 +19,9 @@
 //! mylead serve     -s cat.db 127.0.0.1:7070
 //! ```
 //!
+//! `serve` acks an `INGEST` only once it is durable, and checkpoints
+//! the catalog every 30 s so the log stays short.
+//!
 //! `analyze` runs the query with per-operator profiling and prints the
 //! annotated plan (`EXPLAIN ANALYZE`). `stats` with a server address
 //! reads a live server's `STATS` line, which carries the full
@@ -27,7 +33,7 @@
 //! attributes enabled (pass `--strict` to disable).
 
 use mylead::catalog::catalog::{CatalogConfig, MetadataCatalog};
-use mylead::catalog::lead::{lead_catalog, lead_partition};
+use mylead::catalog::lead::{lead_partition, register_arps_defs};
 use mylead::catalog::qparse::parse_query;
 use std::io::Write;
 use std::process::ExitCode;
@@ -56,7 +62,7 @@ fn main() -> ExitCode {
 
 struct Args {
     command: String,
-    snapshot: String,
+    dir: String,
     strict: bool,
     rest: Vec<String>,
 }
@@ -64,13 +70,13 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().ok_or_else(usage)?;
-    let mut snapshot = None;
+    let mut dir = None;
     let mut strict = false;
     let mut rest = Vec::new();
     while let Some(a) = argv.next() {
         match a.as_str() {
             "-s" | "--snapshot" => {
-                snapshot = Some(argv.next().ok_or("missing value after --snapshot")?);
+                dir = Some(argv.next().ok_or("missing value after --snapshot")?);
             }
             "--strict" => strict = true,
             _ => rest.push(a),
@@ -78,14 +84,14 @@ fn parse_args() -> Result<Args, String> {
     }
     Ok(Args {
         command,
-        snapshot: snapshot.ok_or("every command needs --snapshot <path> (or -s)")?,
+        dir: dir.ok_or("every command needs --snapshot <catalog-dir> (or -s)")?,
         strict,
         rest,
     })
 }
 
 fn usage() -> String {
-    "usage: mylead <init|ingest|add|query|analyze|search|fetch|stats|sql|serve> -s <snapshot> [args...]"
+    "usage: mylead <init|ingest|add|query|analyze|search|fetch|stats|sql|serve> -s <catalog-dir> [args...]"
         .to_string()
 }
 
@@ -93,21 +99,29 @@ fn config(strict: bool) -> CatalogConfig {
     CatalogConfig { auto_register: !strict, ..CatalogConfig::default() }
 }
 
+fn open(args: &Args) -> Result<MetadataCatalog, String> {
+    MetadataCatalog::open(&args.dir, lead_partition(), config(args.strict))
+        .map_err(|e| format!("cannot open catalog {}: {e}", args.dir))
+}
+
+/// Open an existing catalog directory (only `init` creates one).
 fn load(args: &Args) -> Result<MetadataCatalog, String> {
-    MetadataCatalog::load(&args.snapshot, lead_partition(), config(args.strict))
-        .map_err(|e| format!("cannot load snapshot {}: {e}", args.snapshot))
+    if !std::path::Path::new(&args.dir).is_dir() {
+        return Err(format!("no catalog directory at {} (run init first)", args.dir));
+    }
+    open(args)
 }
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     match args.command.as_str() {
         "init" => {
-            if std::path::Path::new(&args.snapshot).exists() {
-                return Err(format!("{} already exists", args.snapshot));
+            if std::path::Path::new(&args.dir).exists() {
+                return Err(format!("{} already exists", args.dir));
             }
-            let cat = lead_catalog(config(args.strict)).map_err(|e| e.to_string())?;
-            cat.save(&args.snapshot).map_err(|e| e.to_string())?;
-            say!("initialized LEAD catalog at {}", args.snapshot);
+            let cat = open(&args)?;
+            register_arps_defs(&cat).map_err(|e| e.to_string())?;
+            say!("initialized LEAD catalog at {}", args.dir);
             Ok(())
         }
         "ingest" => {
@@ -115,26 +129,14 @@ fn run() -> Result<(), String> {
                 return Err("ingest needs at least one XML file".into());
             }
             let cat = load(&args)?;
-            // Save even when a later file fails, so objects already
-            // reported as ingested are never silently lost.
-            let mut failure = None;
+            // Each ingest is durable once it is reported, so a later
+            // failing file never loses the objects before it.
             for path in &args.rest {
-                let result = std::fs::read_to_string(path)
-                    .map_err(|e| format!("{path}: {e}"))
-                    .and_then(|xml| cat.ingest(&xml).map_err(|e| format!("{path}: {e}")));
-                match result {
-                    Ok(id) => say!("{path} -> object {id}"),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
+                let xml = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+                let id = cat.ingest(&xml).map_err(|e| format!("{path}: {e}"))?;
+                say!("{path} -> object {id}");
             }
-            cat.save(&args.snapshot).map_err(|e| e.to_string())?;
-            match failure {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+            Ok(())
         }
         "add" => {
             let [id_str, path] = args.rest.as_slice() else {
@@ -145,7 +147,7 @@ fn run() -> Result<(), String> {
             let xml = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             cat.add_attribute(id, &xml).map_err(|e| e.to_string())?;
             say!("added attribute to object {id}");
-            cat.save(&args.snapshot).map_err(|e| e.to_string())
+            Ok(())
         }
         "query" => {
             let dsl = args.rest.join(" ");
@@ -220,8 +222,7 @@ fn run() -> Result<(), String> {
             let cat = load(&args)?;
             let rs = cat.db().execute_sql(&stmt).map_err(|e| e.to_string())?;
             say!("{}", rs.to_text().trim_end());
-            // Persist in case the statement mutated the store.
-            cat.save(&args.snapshot).map_err(|e| e.to_string())
+            Ok(())
         }
         "serve" => {
             let addr = args.rest.first().cloned().unwrap_or_else(|| "127.0.0.1:7070".into());
@@ -229,14 +230,14 @@ fn run() -> Result<(), String> {
             let server =
                 service::CatalogServer::start(cat.clone(), &addr).map_err(|e| e.to_string())?;
             say!(
-                "serving catalog {} on {} (Ctrl-C to stop; snapshot is saved every 30 s)",
-                args.snapshot,
+                "serving catalog {} on {} (Ctrl-C to stop; checkpoint every 30 s)",
+                args.dir,
                 server.addr()
             );
             loop {
                 std::thread::sleep(std::time::Duration::from_secs(30));
-                if let Err(e) = cat.save(&args.snapshot) {
-                    eprintln!("snapshot save failed: {e}");
+                if let Err(e) = cat.checkpoint() {
+                    eprintln!("checkpoint failed: {e}");
                 }
             }
         }
