@@ -14,6 +14,11 @@ use catalog::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+/// Options running one strategy in one plan style (uncached).
+fn styled(strategy: MatchStrategy, style: PlanStyle) -> QueryOptions {
+    QueryOptions { strategy: Some(strategy), style: Some(style), ..Default::default() }
+}
+
 /// LEAD document parameterized like the bench corpus: `dx` grid
 /// spacing, optional `dzmin` nested sub-attribute, one theme keyword.
 fn doc(i: usize, dx: u8, dzmin: Option<u8>, key: u8) -> String {
@@ -90,15 +95,15 @@ proptest! {
         }
         for (kind, a, b) in queries {
             let q = query(kind, a, b);
-            let semi = cat.query_styled(&q, MatchStrategy::Exact, PlanStyle::SemiJoin).unwrap();
-            let mat = cat.query_styled(&q, MatchStrategy::Exact, PlanStyle::Materialized).unwrap();
+            let semi = cat.query_with(&q, &styled(MatchStrategy::Exact, PlanStyle::SemiJoin)).unwrap();
+            let mat = cat.query_with(&q, &styled(MatchStrategy::Exact, PlanStyle::Materialized)).unwrap();
             prop_assert_eq!(&semi, &mat, "Exact: semi-join vs materialized on {:?}", q);
             let dom_ids = dom.query(&q).unwrap();
             prop_assert_eq!(&semi, &dom_ids, "Exact: semi-join vs DOM baseline on {:?}", q);
 
-            let semi_c = cat.query_styled(&q, MatchStrategy::Counted, PlanStyle::SemiJoin).unwrap();
+            let semi_c = cat.query_with(&q, &styled(MatchStrategy::Counted, PlanStyle::SemiJoin)).unwrap();
             let mat_c =
-                cat.query_styled(&q, MatchStrategy::Counted, PlanStyle::Materialized).unwrap();
+                cat.query_with(&q, &styled(MatchStrategy::Counted, PlanStyle::Materialized)).unwrap();
             prop_assert_eq!(&semi_c, &mat_c, "Counted: semi-join vs materialized on {:?}", q);
         }
     }
@@ -156,14 +161,14 @@ proptest! {
                     .sub(AttrQuery::new("inner").source("T").elem(ElemCond::eq_num("b", 2.0))),
             ),
         );
-        let exact_semi = cat.query_styled(&q, MatchStrategy::Exact, PlanStyle::SemiJoin).unwrap();
+        let exact_semi = cat.query_with(&q, &styled(MatchStrategy::Exact, PlanStyle::SemiJoin)).unwrap();
         let exact_mat =
-            cat.query_styled(&q, MatchStrategy::Exact, PlanStyle::Materialized).unwrap();
+            cat.query_with(&q, &styled(MatchStrategy::Exact, PlanStyle::Materialized)).unwrap();
         prop_assert_eq!(&exact_semi, &exact_mat);
         let counted_semi =
-            cat.query_styled(&q, MatchStrategy::Counted, PlanStyle::SemiJoin).unwrap();
+            cat.query_with(&q, &styled(MatchStrategy::Counted, PlanStyle::SemiJoin)).unwrap();
         let counted_mat =
-            cat.query_styled(&q, MatchStrategy::Counted, PlanStyle::Materialized).unwrap();
+            cat.query_with(&q, &styled(MatchStrategy::Counted, PlanStyle::Materialized)).unwrap();
         prop_assert_eq!(&counted_semi, &counted_mat);
         // Fig-4 counting only ever over-accepts relative to XQuery
         // semantics: every exact hit is a counted hit.

@@ -10,7 +10,8 @@
 //! across the run (catalog spans, per-layer counters, latency
 //! histograms) to `BENCH_obs.json` for machine consumption, and — when
 //! the `perf` experiment ran — the plan-style comparison to
-//! `BENCH_perf.json` (checked in CI by the `perfcheck` binary).
+//! `BENCH_perf.json` (`BENCH_perf_quick.json` with `--quick`; both are
+//! committed baselines, checked by the `perfcheck` binary).
 
 use benchkit::experiments::{self, Scale};
 
@@ -125,7 +126,10 @@ fn main() {
             Err(e) => eprintln!("[cannot write {path}: {e}]"),
         }
         if !perf_entries.is_empty() {
-            let path = "BENCH_perf.json";
+            let path = match scale {
+                Scale::Quick => "BENCH_perf_quick.json",
+                Scale::Full => "BENCH_perf.json",
+            };
             match std::fs::write(path, experiments::render_perf_json(scale, &perf_entries)) {
                 Ok(()) => eprintln!("[perf comparison written to {path}]"),
                 Err(e) => eprintln!("[cannot write {path}: {e}]"),

@@ -5,9 +5,10 @@
 //! ```
 //!
 //! Fails (exit 1) when the current file is malformed, when any workload
-//! is missing a plan style or the styles disagree on hits, when the
-//! semi-join pipeline is more than `--max-regress` times slower than
-//! the materialized plans it replaced, or — given a baseline — when any
+//! is missing a plan style, matched nothing, or its styles disagree on
+//! hits, when the semi-join pipeline is more than `--max-regress` times
+//! slower than the materialized plans it replaced, or — given a
+//! baseline — when the baseline was run at another scale or any
 //! workload's semi-join latency regressed more than `--max-regress`
 //! times against it.
 
@@ -18,10 +19,13 @@ use std::process::ExitCode;
 /// keyed by workload.
 type Entries = BTreeMap<String, BTreeMap<String, (f64, f64, f64, usize)>>;
 
+/// A parsed perf file: its scale (`quick` or `full`) and entries.
+type PerfFile = (String, Entries);
+
 /// Minimal parser for the exact shape `render_perf_json` emits — one
 /// entry object per line. Anything surprising is a hard error: the file
 /// is machine-written, so leniency only hides breakage.
-fn parse(text: &str) -> Result<Entries, String> {
+fn parse(text: &str) -> Result<PerfFile, String> {
     if !text.contains("\"schema\": \"mylead-bench-perf/v1\"") {
         return Err("missing or unknown schema marker".into());
     }
@@ -58,12 +62,19 @@ fn parse(text: &str) -> Result<Entries, String> {
     if out.is_empty() {
         return Err("no perf entries found".into());
     }
-    Ok(out)
+    let scale = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("\"scale\""))
+        .ok_or("no scale")?;
+    Ok((field(scale, "scale")?.to_string(), out))
 }
 
-fn check(current: &Entries, baseline: Option<&Entries>, max_regress: f64) -> Vec<String> {
+fn check(current: &PerfFile, baseline: Option<&PerfFile>, max_regress: f64) -> Vec<String> {
     let mut problems = Vec::new();
-    for (workload, styles) in current {
+    if let Some(base) = baseline.filter(|b| b.0 != current.0) {
+        problems.push(format!("baseline scale {:?} differs from current {:?}", base.0, current.0));
+    }
+    for (workload, styles) in &current.1 {
         let (Some(&(mat, _, _, mat_hits)), Some(&(semi, _, _, semi_hits))) =
             (styles.get("materialized"), styles.get("semijoin"))
         else {
@@ -74,13 +85,17 @@ fn check(current: &Entries, baseline: Option<&Entries>, max_regress: f64) -> Vec
             problems
                 .push(format!("{workload}: styles disagree on hits ({mat_hits} vs {semi_hits})"));
         }
+        if semi_hits == 0 {
+            problems.push(format!("{workload}: no query matched anything (hits = 0)"));
+        }
         if semi > mat * max_regress {
             problems.push(format!(
                 "{workload}: semi-join {semi:.1}us is >{max_regress}x the materialized {mat:.1}us"
             ));
         }
         if let Some(base) = baseline {
-            if let Some(&(base_semi, _, _, _)) = base.get(workload).and_then(|s| s.get("semijoin"))
+            if let Some(&(base_semi, _, _, _)) =
+                base.1.get(workload).and_then(|s| s.get("semijoin"))
             {
                 if semi > base_semi * max_regress {
                     problems.push(format!(
@@ -116,7 +131,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    let load = |path: &str| -> Result<Entries, String> {
+    let load = |path: &str| -> Result<PerfFile, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         parse(&text).map_err(|e| format!("{path}: {e}"))
     };
@@ -139,7 +154,7 @@ fn main() -> ExitCode {
     };
 
     let problems = check(&current, baseline.as_ref(), max_regress);
-    for (workload, styles) in &current {
+    for (workload, styles) in &current.1 {
         if let (Some((mat, _, _, _)), Some((semi, p95, p99, hits))) =
             (styles.get("materialized"), styles.get("semijoin"))
         {
@@ -151,7 +166,11 @@ fn main() -> ExitCode {
         }
     }
     if problems.is_empty() {
-        println!("perfcheck: OK ({} workloads, max regress {max_regress}x)", current.len());
+        println!(
+            "perfcheck: OK ({} {} workloads, max regress {max_regress}x)",
+            current.1.len(),
+            current.0
+        );
         ExitCode::SUCCESS
     } else {
         for p in &problems {
@@ -191,9 +210,10 @@ mod tests {
 
     #[test]
     fn parses_renderer_output() {
-        let entries = parse(&sample()).unwrap();
-        assert_eq!(entries["w"]["semijoin"], (40.0, 55.0, 62.0, 7));
-        assert!(check(&entries, None, 2.0).is_empty());
+        let file = parse(&sample()).unwrap();
+        assert_eq!(file.0, "quick");
+        assert_eq!(file.1["w"]["semijoin"], (40.0, 55.0, 62.0, 7));
+        assert!(check(&file, None, 2.0).is_empty());
     }
 
     #[test]
@@ -218,5 +238,11 @@ mod tests {
         // Styles disagreeing on hits is a failure.
         let bad_hits = parse(&sample().replacen("\"hits\": 7", "\"hits\": 3", 1)).unwrap();
         assert!(!check(&bad_hits, None, 2.0).is_empty());
+        // A workload that matched nothing is a failure.
+        let empty = parse(&sample().replace("\"hits\": 7", "\"hits\": 0")).unwrap();
+        assert!(!check(&empty, None, 2.0).is_empty());
+        // So is a baseline of another scale.
+        let full = parse(&sample().replace("\"quick\"", "\"full\"")).unwrap();
+        assert!(!check(&entries, Some(&full), 2.0).is_empty());
     }
 }

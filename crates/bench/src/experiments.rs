@@ -6,7 +6,7 @@ use crate::table::{fmt_bytes, fmt_rate, fmt_secs, Table};
 use crate::{all_backends, generator, hybrid_backend, load, median_secs};
 use baselines::doc_order::DocOrderStore;
 use baselines::CatalogBackend;
-use catalog::catalog::CatalogConfig;
+use catalog::catalog::{CatalogConfig, QueryOptions};
 use catalog::engine::MatchStrategy;
 use catalog::error::Result;
 use workload::{QueryGenerator, QueryShape, WorkloadConfig};
@@ -110,9 +110,10 @@ pub fn e2_query(scale: Scale) -> Result<(Table, Table)> {
         let queries = QueryGenerator::new(&generator, 99).batch(shape, reps);
         for (sname, strat) in [("exact", MatchStrategy::Exact), ("counted", MatchStrategy::Counted)]
         {
+            let opts = QueryOptions { strategy: Some(strat), ..Default::default() };
             let secs = median_secs(1, || {
                 for q in &queries {
-                    cat.query_with(q, strat).expect("query");
+                    cat.query_with(q, &opts).expect("query");
                 }
             }) / queries.len() as f64;
             abl.row(vec![label.to_string(), sname.to_string(), fmt_secs(secs)]);
@@ -496,12 +497,17 @@ pub fn perf(scale: Scale) -> Result<(Table, Vec<PerfEntry>)> {
             let mut hits = 0usize;
             let mut pass_secs = Vec::new();
             let mut samples_us = Vec::new();
+            let opts = QueryOptions {
+                strategy: Some(MatchStrategy::Exact),
+                style: Some(style),
+                ..Default::default()
+            };
             for _ in 0..scale.pick(3, 5) {
                 hits = 0;
                 let pass0 = std::time::Instant::now();
                 for q in &queries {
                     let t0 = std::time::Instant::now();
-                    hits += cat.query_styled(q, MatchStrategy::Exact, style).expect("query").len();
+                    hits += cat.query_with(q, &opts).expect("query").len();
                     samples_us.push(t0.elapsed().as_secs_f64() * 1e6);
                 }
                 pass_secs.push(pass0.elapsed().as_secs_f64());
@@ -666,7 +672,7 @@ pub fn figures() -> Table {
     ]);
     t.row(vec![
         "Fig 4 query process".into(),
-        "engine::run_query (Exact & Counted strategies)".into(),
+        "engine::build_query_plan + execute_match_plan (Exact & Counted)".into(),
         "crates/catalog/tests/pipeline.rs::fig4_query_...".into(),
     ]);
     t.row(vec![

@@ -2,7 +2,9 @@
 //! object (what myLEAD's server exposes to the grid).
 
 use crate::defs::{AttrId, DefLevel, DefsRegistry, DynamicAttrSpec};
-use crate::engine::{execute_match_plan, run_flat_query, MatchStrategy};
+use crate::engine::{
+    build_query_plan, execute_match_plan, run_flat_query, MatchStrategy, PlanStyle,
+};
 use crate::error::{CatalogError, Result};
 use crate::ordering::GlobalOrdering;
 use crate::partition::Partition;
@@ -84,6 +86,28 @@ pub struct CatalogConfig {
     pub auto_register: bool,
     /// Query matching strategy.
     pub strategy: MatchStrategy,
+}
+
+/// Options of the governed read forms; the default is what the plain
+/// forms do: the configured strategy, the plan cache, no limits.
+#[derive(Debug, Clone, Default)]
+pub struct QueryOptions {
+    /// One deadline and row/byte budget for the whole request.
+    pub ctx: Option<RequestCtx>,
+    /// Matching strategy; `None` means [`CatalogConfig::strategy`].
+    pub strategy: Option<MatchStrategy>,
+    /// Plan style; `Some` builds an uncached plan in that style
+    /// (ablations and agreement tests), `None` uses the plan cache.
+    pub style: Option<PlanStyle>,
+}
+
+/// Record a governance error against `ctx` (see
+/// [`RequestCtx::note_cancelled`]); ungoverned results pass through.
+fn governed<T>(ctx: Option<&RequestCtx>, r: Result<T>) -> Result<T> {
+    match ctx {
+        Some(ctx) => r.map_err(|e| ctx.note_cancelled(e)),
+        None => r,
+    }
 }
 
 /// Aggregate catalog statistics (storage accounting for E6).
@@ -508,7 +532,7 @@ impl MetadataCatalog {
         let plan = {
             let defs = self.defs.read();
             let _span = reg.span("catalog.query.plan_build");
-            Arc::new(crate::engine::build_query_plan(&defs, q, strategy)?)
+            Arc::new(build_query_plan(&defs, q, strategy, PlanStyle::default())?)
         };
         self.plan_cache.lock().put(key, epoch, plan.clone());
         Ok(plan)
@@ -521,37 +545,24 @@ impl MetadataCatalog {
 
     /// Run an attribute query; returns sorted matching object ids.
     pub fn query(&self, q: &ObjectQuery) -> Result<Vec<i64>> {
-        let plan = self.cached_plan(q, self.config.strategy)?;
-        execute_match_plan(&self.db, &plan)
+        self.query_with(q, &QueryOptions::default())
     }
 
-    /// [`MetadataCatalog::query`] under a request context: the match
-    /// plan checks `ctx`'s deadline cooperatively and charges its
-    /// row/byte budget. On cancellation the
-    /// `catalog.cancelled.{deadline,budget}` counter is bumped and the
-    /// offending query recorded in the slow-query ring.
-    pub fn query_ctx(&self, q: &ObjectQuery, ctx: &RequestCtx) -> Result<Vec<i64>> {
-        let plan = self.cached_plan(q, self.config.strategy)?;
-        crate::engine::execute_match_plan_ctx(&self.db, &plan, ctx)
-            .map_err(|e| ctx.note_cancelled(e))
-    }
-
-    /// Run a query with an explicit strategy (ablations).
-    pub fn query_with(&self, q: &ObjectQuery, strategy: MatchStrategy) -> Result<Vec<i64>> {
-        let plan = self.cached_plan(q, strategy)?;
-        execute_match_plan(&self.db, &plan)
-    }
-
-    /// Run a query with an explicit strategy *and* plan style,
-    /// bypassing the plan cache (ablations and agreement tests).
-    pub fn query_styled(
-        &self,
-        q: &ObjectQuery,
-        strategy: MatchStrategy,
-        style: crate::engine::PlanStyle,
-    ) -> Result<Vec<i64>> {
-        let defs = self.defs.read();
-        crate::engine::run_query_styled(&self.db, &defs, q, strategy, style)
+    /// [`MetadataCatalog::query`] under [`QueryOptions`]: with a
+    /// `ctx`, the match plan checks its deadline cooperatively and
+    /// charges its row/byte budget, whatever the strategy and style.
+    pub fn query_with(&self, q: &ObjectQuery, opts: &QueryOptions) -> Result<Vec<i64>> {
+        let strategy = opts.strategy.unwrap_or(self.config.strategy);
+        let plan = match opts.style {
+            None => self.cached_plan(q, strategy)?,
+            Some(style) => {
+                let defs = self.defs.read();
+                let _span = obs::global().span("catalog.query.plan_build");
+                Arc::new(build_query_plan(&defs, q, strategy, style)?)
+            }
+        };
+        let ctx = opts.ctx.as_ref();
+        governed(ctx, execute_match_plan(&self.db, &plan, ctx.map(|c| &*c.budget)))
     }
 
     /// The §4 "significantly simplified" flat path (no sub-attributes).
@@ -571,43 +582,33 @@ impl MetadataCatalog {
 
     /// Reconstruct schema-ordered documents for `object_ids`.
     pub fn fetch_documents(&self, object_ids: &[i64]) -> Result<Vec<(i64, String)>> {
-        let _span = obs::global().span("catalog.response_build");
-        response::build_documents(&self.db, object_ids)
+        self.fetch_documents_with(object_ids, None)
     }
 
     /// [`MetadataCatalog::fetch_documents`] under a request context:
     /// document reconstruction — including CLOB byte resolution —
     /// respects `ctx`'s deadline and byte budget.
-    pub fn fetch_documents_ctx(
+    pub fn fetch_documents_with(
         &self,
         object_ids: &[i64],
-        ctx: &RequestCtx,
+        ctx: Option<&RequestCtx>,
     ) -> Result<Vec<(i64, String)>> {
         let _span = obs::global().span("catalog.response_build");
-        response::build_documents_ctx(&self.db, object_ids, ctx).map_err(|e| ctx.note_cancelled(e))
-    }
-
-    /// Query then reconstruct: the full Fig-1 pipeline.
-    pub fn search(&self, q: &ObjectQuery) -> Result<Vec<(i64, String)>> {
-        let ids = self.query(q)?;
-        self.fetch_documents(&ids)
+        let unbounded = RequestCtx::unbounded();
+        governed(ctx, response::build_documents(&self.db, object_ids, ctx.unwrap_or(&unbounded)))
     }
 
     /// Query then wrap matches in a `<results>` envelope.
     pub fn search_envelope(&self, q: &ObjectQuery) -> Result<String> {
-        let ids = self.query(q)?;
-        let _span = obs::global().span("catalog.response_build");
-        response::build_response_envelope(&self.db, &ids)
+        self.search_envelope_with(q, &QueryOptions::default())
     }
 
-    /// [`MetadataCatalog::search_envelope`] under a request context:
-    /// one budget and one deadline govern match *and* response
-    /// assembly — the two halves cannot each spend the full allowance.
-    pub fn search_envelope_ctx(&self, q: &ObjectQuery, ctx: &RequestCtx) -> Result<String> {
-        let ids = self.query_ctx(q, ctx)?;
-        let _span = obs::global().span("catalog.response_build");
-        response::build_response_envelope_ctx(&self.db, &ids, ctx)
-            .map_err(|e| ctx.note_cancelled(e))
+    /// [`MetadataCatalog::search_envelope`] under [`QueryOptions`]: one
+    /// budget and one deadline govern match *and* response assembly —
+    /// the two halves cannot each spend the full allowance.
+    pub fn search_envelope_with(&self, q: &ObjectQuery, opts: &QueryOptions) -> Result<String> {
+        let ids = self.query_with(q, opts)?;
+        Ok(response::envelope(&self.fetch_documents_with(&ids, opts.ctx.as_ref())?))
     }
 
     /// Remove an object and all its stored metadata.

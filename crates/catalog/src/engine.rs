@@ -23,7 +23,8 @@
 use crate::defs::{AttrId, DefsRegistry, ElemId};
 use crate::error::{CatalogError, Result};
 use crate::query::{AttrQuery, ElemCond, ObjectQuery, QOp, QValue};
-use minidb::{CmpOp, Database, Expr, Plan, Value};
+use minidb::limits::Budget;
+use minidb::{CmpOp, Database, Expr, Plan};
 
 /// Matching strategy (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,7 +40,7 @@ pub enum MatchStrategy {
 ///
 /// Both styles compute the same answer for every strategy; they differ
 /// only in the operators used. [`PlanStyle::SemiJoin`] is the default
-/// and what [`run_query`] executes.
+/// and what the catalog's plan cache holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanStyle {
     /// Semi-join pipelines with trailing `Distinct`s folded in — the
@@ -304,20 +305,10 @@ fn intersect_objects(acc: Plan, other: Plan, style: PlanStyle) -> Plan {
 }
 
 /// Build the full match plan for an [`ObjectQuery`] without executing
-/// it, in the default [`PlanStyle`]. Shared by [`run_query`] and the
-/// catalog's `EXPLAIN ANALYZE` path, so the analyzed plan is exactly
-/// the executed plan.
+/// it. The catalog caches plans in the default [`PlanStyle`] and its
+/// `EXPLAIN ANALYZE` path profiles the cached plan, so the analyzed
+/// plan is exactly the executed plan.
 pub fn build_query_plan(
-    defs: &DefsRegistry,
-    query: &ObjectQuery,
-    strategy: MatchStrategy,
-) -> Result<Plan> {
-    build_query_plan_styled(defs, query, strategy, PlanStyle::default())
-}
-
-/// [`build_query_plan`] with an explicit [`PlanStyle`] (ablations and
-/// agreement tests).
-pub fn build_query_plan_styled(
     defs: &DefsRegistry,
     query: &ObjectQuery,
     strategy: MatchStrategy,
@@ -344,71 +335,22 @@ pub fn build_query_plan_styled(
     Ok(Plan::Sort { input: Box::new(obj_plan.expect("non-empty query")), keys: vec![(0, false)] })
 }
 
-/// Extract the leading `object_id` column of a match result.
-pub(crate) fn ids_from_rows(rs: minidb::ResultSet) -> Vec<i64> {
-    rs.rows
-        .into_iter()
-        .filter_map(|r| match r.first() {
-            Some(Value::Int(i)) => Some(*i),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Execute an already-built match plan; returns sorted matching object
-/// ids. Independent per-criterion subtrees run on parallel worker
-/// threads (see [`Database::execute_parallel`]).
-pub fn execute_match_plan(db: &Database, plan: &Plan) -> Result<Vec<i64>> {
+/// ids. With a `budget`, the executor checks its deadline cooperatively
+/// and charges the rows/bytes it materializes against the request's
+/// caps.
+pub fn execute_match_plan(db: &Database, plan: &Plan, budget: Option<&Budget>) -> Result<Vec<i64>> {
     let reg = obs::global();
     let rs = {
         let _span = reg.span("catalog.query.match");
-        db.execute_parallel(plan)?
+        match budget {
+            Some(b) => db.begin_read().execute_with(plan, b)?,
+            None => db.execute(plan)?,
+        }
     };
     reg.counter("catalog.query.count").incr();
-    Ok(ids_from_rows(rs))
-}
-
-/// [`execute_match_plan`] under a request context: the executor charges
-/// rows/bytes against the request's budget and checks its deadline
-/// cooperatively, including inside parallel subplan forks.
-pub fn execute_match_plan_ctx(
-    db: &Database,
-    plan: &Plan,
-    ctx: &crate::reqctx::RequestCtx,
-) -> Result<Vec<i64>> {
-    let reg = obs::global();
-    let rs = {
-        let _span = reg.span("catalog.query.match");
-        db.execute_parallel_with(plan, &ctx.budget)?
-    };
-    reg.counter("catalog.query.count").incr();
-    Ok(ids_from_rows(rs))
-}
-
-/// Execute an [`ObjectQuery`]; returns sorted matching object ids.
-pub fn run_query(
-    db: &Database,
-    defs: &DefsRegistry,
-    query: &ObjectQuery,
-    strategy: MatchStrategy,
-) -> Result<Vec<i64>> {
-    run_query_styled(db, defs, query, strategy, PlanStyle::default())
-}
-
-/// [`run_query`] with an explicit [`PlanStyle`].
-pub fn run_query_styled(
-    db: &Database,
-    defs: &DefsRegistry,
-    query: &ObjectQuery,
-    strategy: MatchStrategy,
-    style: PlanStyle,
-) -> Result<Vec<i64>> {
-    let reg = obs::global();
-    let plan = {
-        let _span = reg.span("catalog.query.plan_build");
-        build_query_plan_styled(defs, query, strategy, style)?
-    };
-    execute_match_plan(db, &plan)
+    // The leading column of a match result is the `object_id`.
+    Ok(rs.rows.iter().filter_map(|r| r.first()?.as_i64()).collect())
 }
 
 /// The simplification the paper notes (§4): when no criterion has
@@ -438,6 +380,5 @@ pub fn run_flat_query(db: &Database, defs: &DefsRegistry, query: &ObjectQuery) -
     for next in it {
         plan = intersect_objects(plan, next, style);
     }
-    let rs = db.execute_parallel(&Plan::Sort { input: Box::new(plan), keys: vec![(0, false)] })?;
-    Ok(ids_from_rows(rs))
+    execute_match_plan(db, &Plan::Sort { input: Box::new(plan), keys: vec![(0, false)] }, None)
 }

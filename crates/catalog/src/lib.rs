@@ -53,7 +53,7 @@ pub mod store;
 /// Common imports for catalog users.
 pub mod prelude {
     pub use crate::annotated::parse_annotated;
-    pub use crate::catalog::{CatalogConfig, CatalogStats, MetadataCatalog};
+    pub use crate::catalog::{CatalogConfig, CatalogStats, MetadataCatalog, QueryOptions};
     pub use crate::collections::CollectionId;
     pub use crate::context::ContextQuery;
     pub use crate::defs::{AttrId, DefLevel, DefsRegistry, DynamicAttrSpec, ElemId};

@@ -29,17 +29,12 @@ const K_CLOSE: i64 = 2;
 /// Reconstruct schema-ordered XML documents for `object_ids`.
 ///
 /// Returns `(object_id, xml)` pairs in ascending id order; ids with no
-/// stored metadata yield an empty string.
-pub fn build_documents(db: &Database, object_ids: &[i64]) -> Result<Vec<(i64, String)>> {
-    build_documents_ctx(db, object_ids, &RequestCtx::unbounded())
-}
-
-/// [`build_documents`] under a request context: every plan charges the
-/// request's budget, and the per-object lookup loop, fragment sort-merge
-/// input, and final CLOB byte resolution all check the deadline — so
+/// stored metadata yield an empty string. Every plan charges `ctx`'s
+/// budget, and the per-object lookup loop, fragment sort-merge input,
+/// and final CLOB byte resolution all check its deadline — so
 /// reconstruction of a huge response stops cooperatively instead of
 /// holding its worker past the deadline.
-pub fn build_documents_ctx(
+pub fn build_documents(
     db: &Database,
     object_ids: &[i64],
     ctx: &RequestCtx,
@@ -209,27 +204,23 @@ pub fn build_documents_ctx(
     Ok(out)
 }
 
-/// Convenience: wrap several reconstructed documents in a `<results>`
-/// envelope (what a catalog service would return to a client).
+/// Convenience: reconstruct `object_ids` and wrap them in a
+/// `<results>` envelope (what a catalog service would return to a
+/// client).
 pub fn build_response_envelope(db: &Database, object_ids: &[i64]) -> Result<String> {
-    build_response_envelope_ctx(db, object_ids, &RequestCtx::unbounded())
+    Ok(envelope(&build_documents(db, object_ids, &RequestCtx::unbounded())?))
 }
 
-/// [`build_response_envelope`] under a request context (see
-/// [`build_documents_ctx`]).
-pub fn build_response_envelope_ctx(
-    db: &Database,
-    object_ids: &[i64],
-    ctx: &RequestCtx,
-) -> Result<String> {
-    let docs = build_documents_ctx(db, object_ids, ctx)?;
+/// Wrap reconstructed documents in the `<results>` envelope that
+/// `SEARCH` and `FETCH` replies carry.
+pub fn envelope(docs: &[(i64, String)]) -> String {
     let mut out = String::with_capacity(docs.iter().map(|(_, d)| d.len() + 32).sum());
     out.push_str("<results>");
-    for (id, doc) in &docs {
+    for (id, doc) in docs {
         out.push_str(&format!("<object id=\"{id}\">"));
         out.push_str(doc);
         out.push_str("</object>");
     }
     out.push_str("</results>");
-    Ok(out)
+    out
 }

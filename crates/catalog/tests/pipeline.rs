@@ -9,6 +9,10 @@ fn cat() -> MetadataCatalog {
     lead_catalog(CatalogConfig::default()).unwrap()
 }
 
+fn strategy(s: MatchStrategy) -> QueryOptions {
+    QueryOptions { strategy: Some(s), ..Default::default() }
+}
+
 /// A LEAD document with tweakable grid parameters.
 fn doc_with(dx: f64, dzmin: Option<f64>, themekey: &str) -> String {
     let stretching = match dzmin {
@@ -89,8 +93,8 @@ fn strategies_agree_on_realistic_queries() {
         cat.ingest(&doc_with(dx, dzmin, &format!("key{i}"))).unwrap();
     }
     let q = fig4_query();
-    let exact = cat.query_with(&q, MatchStrategy::Exact).unwrap();
-    let counted = cat.query_with(&q, MatchStrategy::Counted).unwrap();
+    let exact = cat.query_with(&q, &strategy(MatchStrategy::Exact)).unwrap();
+    let counted = cat.query_with(&q, &strategy(MatchStrategy::Counted)).unwrap();
     assert_eq!(exact, counted);
     assert!(!exact.is_empty());
 }
@@ -138,8 +142,8 @@ fn counted_vs_exact_divergence_on_split_partial_matches() {
                 .sub(AttrQuery::new("inner").source("T").elem(ElemCond::eq_num("b", 2.0))),
         ),
     );
-    let exact = cat.query_with(&q, MatchStrategy::Exact).unwrap();
-    let counted = cat.query_with(&q, MatchStrategy::Counted).unwrap();
+    let exact = cat.query_with(&q, &strategy(MatchStrategy::Exact)).unwrap();
+    let counted = cat.query_with(&q, &strategy(MatchStrategy::Counted)).unwrap();
     assert!(exact.is_empty(), "XQuery semantics: no single layer satisfies both");
     assert_eq!(counted, vec![id], "Fig-4 counting accepts split matches");
 }
@@ -346,7 +350,7 @@ fn envelope_wraps_matches() {
 fn search_combines_query_and_fetch() {
     let cat = cat();
     let id = cat.ingest(FIG3_DOCUMENT).unwrap();
-    let results = cat.search(&fig4_query()).unwrap();
+    let results = cat.fetch_documents(&cat.query(&fig4_query()).unwrap()).unwrap();
     assert_eq!(results.len(), 1);
     assert_eq!(results[0].0, id);
     assert!(results[0].1.contains("<themekey>convective_precipitation_amount</themekey>"));
@@ -518,7 +522,7 @@ fn plan_cache_reuses_plans_and_invalidates_on_register_dynamic() {
     assert_eq!(cat.plan_cache_len(), 2, "reordered conjunction shares the cache entry");
 
     // A different strategy is a different plan.
-    cat.query_with(&q, MatchStrategy::Counted).unwrap();
+    cat.query_with(&q, &strategy(MatchStrategy::Counted)).unwrap();
     assert_eq!(cat.plan_cache_len(), 3);
 
     // Registering a dynamic attribute bumps the defs epoch; stale

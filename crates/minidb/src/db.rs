@@ -40,54 +40,17 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Maximum nesting depth of parallel join-side forks per query. Two
-/// levels means at most four worker threads per query — enough to cover
-/// the catalog's independent per-criterion subtrees without oversubscribing
-/// the server's request threads.
-const PAR_BUDGET: u8 = 2;
-
-/// Per-execution settings threaded through the operator tree.
-#[derive(Debug, Clone)]
-struct ExecCtx {
-    /// Fork independent join/semi-join sides onto scoped threads.
-    parallel: bool,
-    /// Remaining fork depth (each fork decrements).
-    par_budget: u8,
-    /// Shared deadline / row / byte budget for this request, if any.
-    /// Forked subplans clone the `Arc`, so parallel sides draw down
-    /// one budget and observe one deadline.
-    budget: Option<Arc<Budget>>,
+/// Per-execution settings threaded through the operator tree: the
+/// request's shared deadline / row / byte budget, if it has limits.
+#[derive(Default)]
+struct ExecCtx<'b> {
+    budget: Option<&'b Budget>,
 }
 
-impl ExecCtx {
-    fn serial() -> ExecCtx {
-        ExecCtx { parallel: false, par_budget: 0, budget: None }
-    }
-
-    fn parallel() -> ExecCtx {
-        ExecCtx { parallel: true, par_budget: PAR_BUDGET, budget: None }
-    }
-
-    fn with_budget(mut self, budget: &Arc<Budget>) -> ExecCtx {
-        if !budget.is_unlimited() {
-            self.budget = Some(Arc::clone(budget));
-        }
-        self
-    }
-
-    fn fork(&self) -> ExecCtx {
-        ExecCtx { par_budget: self.par_budget.saturating_sub(1), ..self.clone() }
-    }
-
-    /// Forking is allowed only on unprofiled runs: per-operator stats
-    /// collection threads one mutable profile through the tree, which
-    /// is inherently sequential.
-    fn can_fork(&self, prof: &Option<PlanProfile>) -> bool {
-        self.parallel && self.par_budget > 0 && prof.is_none()
-    }
-
-    fn budget_ref(&self) -> Option<&Budget> {
-        self.budget.as_deref()
+impl<'b> ExecCtx<'b> {
+    /// Charge `budget`; an unlimited budget is skipped entirely.
+    fn with_budget(budget: &'b Budget) -> ExecCtx<'b> {
+        ExecCtx { budget: (!budget.is_unlimited()).then_some(budget) }
     }
 
     /// Cooperative cancellation point for hot loops: every
@@ -97,7 +60,7 @@ impl ExecCtx {
     fn tick(&self, iter: &mut u32, pending_rows: usize) -> Result<()> {
         *iter = iter.wrapping_add(1);
         if (*iter).is_multiple_of(CHECK_INTERVAL) {
-            if let Some(b) = &self.budget {
+            if let Some(b) = self.budget {
                 b.check(pending_rows as u64)?;
             }
         }
@@ -109,7 +72,7 @@ impl ExecCtx {
     /// once per operator, so `max_rows`/`max_bytes` cap the *total*
     /// materialization a request performs.
     fn charge(&self, rs: &ResultSet) -> Result<()> {
-        let Some(b) = &self.budget else {
+        let Some(b) = self.budget else {
             return Ok(());
         };
         b.check_deadline()?;
@@ -120,33 +83,13 @@ impl ExecCtx {
 
     /// Boundary accounting for keyed (integer-pair) results.
     fn charge_keys(&self, n: usize) -> Result<()> {
-        let Some(b) = &self.budget else {
+        let Some(b) = self.budget else {
             return Ok(());
         };
         b.check_deadline()?;
         b.charge_rows(n as u64)?;
         b.charge_bytes((n * std::mem::size_of::<Key>()) as u64)
     }
-}
-
-/// Run two independent subplan evaluations, the second on a scoped
-/// worker thread. Errors from either side surface; panics propagate.
-fn par2<A, B>(
-    a: impl FnOnce() -> Result<A> + Send,
-    b: impl FnOnce() -> Result<B> + Send,
-) -> Result<(A, B)>
-where
-    A: Send,
-    B: Send,
-{
-    let (ra, rb) = crossbeam::thread::scope(|s| {
-        let hb = s.spawn(|_| b());
-        let ra = a();
-        let rb = hb.join().expect("parallel subplan thread panicked");
-        (ra, rb)
-    })
-    .expect("crossbeam scope");
-    Ok((ra?, rb?))
 }
 
 /// Pick the index whose key covers the longest prefix of the
@@ -585,40 +528,14 @@ impl Database {
         self.begin_read().execute(plan)
     }
 
-    /// [`Database::execute`] under a request [`Budget`]: the execution
-    /// checks the budget's deadline cooperatively at scan/join loop
-    /// boundaries and charges materialized rows/bytes against its caps,
-    /// returning [`DbError::DeadlineExceeded`] /
-    /// [`DbError::BudgetExceeded`] instead of a partial result.
-    pub fn execute_with(&self, plan: &Plan, budget: &Arc<Budget>) -> Result<ResultSet> {
-        self.begin_read().execute_with(plan, budget)
-    }
-
-    /// Execute a plan, evaluating independent hash-join / semi-join
-    /// sides on scoped worker threads (bounded fork depth). Results are
-    /// identical to [`Database::execute`]; use this for latency-bound
-    /// queries whose plans contain data-independent subtrees, such as
-    /// the catalog's per-attribute match branches.
-    pub fn execute_parallel(&self, plan: &Plan) -> Result<ResultSet> {
-        self.begin_read().execute_parallel(plan)
-    }
-
-    /// [`Database::execute_parallel`] under a request [`Budget`]. The
-    /// budget is shared by every forked subplan (one deadline, one row
-    /// and byte pool), so parallelism cannot be used to dodge limits.
-    pub fn execute_parallel_with(&self, plan: &Plan, budget: &Arc<Budget>) -> Result<ResultSet> {
-        self.begin_read().execute_parallel_with(plan, budget)
-    }
-
     /// Execute a plan while collecting per-operator row counts and
     /// inclusive wall timings; operators are addressed by plan path
     /// (see [`PlanProfile`]). Powers `EXPLAIN ANALYZE`
-    /// ([`crate::explain::explain_analyze`]). Profiled runs are always
-    /// sequential so that per-branch timings are attributable.
+    /// ([`crate::explain::explain_analyze`]).
     pub fn execute_profiled(&self, plan: &Plan) -> Result<(ResultSet, PlanProfile)> {
         let st = self.state.read();
         let mut prof = Some(PlanProfile::default());
-        let rs = st.exec_node(plan, &mut prof, &mut Vec::new(), &ExecCtx::serial())?;
+        let rs = st.exec_node(plan, &mut prof, &mut Vec::new(), &ExecCtx::default())?;
         Ok((rs, prof.expect("profiler installed above")))
     }
 }
@@ -875,35 +792,15 @@ impl State {
                 Ok(ResultSet { columns, rows })
             }
             Plan::HashJoin { left, right, left_keys, right_keys, kind } => {
-                let (l, r) = if ctx.can_fork(prof) {
-                    let fc = ctx.fork();
-                    let fc2 = fc.clone();
-                    par2(
-                        || self.exec_node(left, &mut None, &mut Vec::new(), &fc),
-                        || self.exec_node(right, &mut None, &mut Vec::new(), &fc2),
-                    )?
-                } else {
-                    let l = self.exec_child(left, prof, path, 0, ctx)?;
-                    let r = self.exec_child(right, prof, path, 1, ctx)?;
-                    (l, r)
-                };
-                run_hash_join(l, r, left_keys, right_keys, *kind, ctx.budget_ref())
+                let l = self.exec_child(left, prof, path, 0, ctx)?;
+                let r = self.exec_child(right, prof, path, 1, ctx)?;
+                run_hash_join(l, r, left_keys, right_keys, *kind, ctx.budget)
             }
             Plan::HashSemiJoin { probe, build, probe_keys, build_keys, anti } => {
                 // Generic (materializing) semi-join; keyable shapes were
                 // already diverted to the fast path above.
-                let (p, b) = if ctx.can_fork(prof) {
-                    let fc = ctx.fork();
-                    let fc2 = fc.clone();
-                    par2(
-                        || self.exec_node(probe, &mut None, &mut Vec::new(), &fc),
-                        || self.exec_node(build, &mut None, &mut Vec::new(), &fc2),
-                    )?
-                } else {
-                    let p = self.exec_child(probe, prof, path, 0, ctx)?;
-                    let b = self.exec_child(build, prof, path, 1, ctx)?;
-                    (p, b)
-                };
+                let p = self.exec_child(probe, prof, path, 0, ctx)?;
+                let b = self.exec_child(build, prof, path, 1, ctx)?;
                 obs::global().counter("minidb.semijoin.count").incr();
                 run_semi_join(p, &b, probe_keys, build_keys, *anti)
             }
@@ -1083,22 +980,12 @@ impl State {
                 Ok(k)
             }
             Plan::HashSemiJoin { probe, build, probe_keys, build_keys, anti } => {
-                let (mut pk, bk) = if ctx.can_fork(prof) {
-                    let fc = ctx.fork();
-                    let fc2 = fc.clone();
-                    par2(
-                        || self.eval_keys(probe, &mut None, &mut Vec::new(), &fc),
-                        || self.eval_keys(build, &mut None, &mut Vec::new(), &fc2),
-                    )?
-                } else {
-                    path.push(1);
-                    let bk = self.eval_keys(build, prof, path, ctx)?;
-                    path.pop();
-                    path.push(0);
-                    let pk = self.eval_keys(probe, prof, path, ctx)?;
-                    path.pop();
-                    (pk, bk)
-                };
+                path.push(1);
+                let bk = self.eval_keys(build, prof, path, ctx)?;
+                path.pop();
+                path.push(0);
+                let mut pk = self.eval_keys(probe, prof, path, ctx)?;
+                path.pop();
                 let set = KeySet::build(bk.keys.iter().map(|&k| key_proj(k, build_keys)).collect());
                 pk.keys.retain(|&k| set.contains(key_proj(k, probe_keys)) != *anti);
                 ctx.charge_keys(pk.keys.len())?;
@@ -1249,7 +1136,7 @@ impl Txn<'_> {
     /// sequence numbers, then insert) stay atomic with respect to
     /// concurrent writers.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        self.st.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial())
+        self.st.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::default())
     }
 
     /// Create a table (see [`Database::create_table`]).
@@ -1375,33 +1262,18 @@ pub struct ReadTxn<'a> {
 impl ReadTxn<'_> {
     /// Execute a plan against the batch's snapshot.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        self.st.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial())
+        self.st.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::default())
     }
 
-    /// [`ReadTxn::execute`] with parallel evaluation of independent
-    /// join sides (see [`Database::execute_parallel`]).
-    pub fn execute_parallel(&self, plan: &Plan) -> Result<ResultSet> {
-        self.st.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::parallel())
-    }
-
-    /// [`ReadTxn::execute`] charging work against `budget` (see
-    /// [`Database::execute_with`]): cooperative deadline checks and
-    /// row/byte accounting shared with the rest of the request.
-    pub fn execute_with(&self, plan: &Plan, budget: &Arc<Budget>) -> Result<ResultSet> {
+    /// [`ReadTxn::execute`] under a request [`Budget`]: the execution
+    /// checks the budget's deadline cooperatively at scan/join loop
+    /// boundaries and charges materialized rows/bytes against its caps,
+    /// returning [`DbError::DeadlineExceeded`] /
+    /// [`DbError::BudgetExceeded`] instead of a partial result. Every
+    /// plan of one request charges the same tracker.
+    pub fn execute_with(&self, plan: &Plan, budget: &Budget) -> Result<ResultSet> {
         self.st
-            .exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial().with_budget(budget))
-    }
-
-    /// [`ReadTxn::execute_parallel`] charging work against `budget`.
-    /// Forked subplans share the same tracker, so parallelism cannot
-    /// dodge the limits.
-    pub fn execute_parallel_with(&self, plan: &Plan, budget: &Arc<Budget>) -> Result<ResultSet> {
-        self.st.exec_node(
-            plan,
-            &mut None,
-            &mut Vec::new(),
-            &ExecCtx::parallel().with_budget(budget),
-        )
+            .exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::with_budget(budget))
     }
 
     /// Number of live rows in a table, as of the batch's snapshot.
@@ -1659,7 +1531,7 @@ mod tests {
         };
         let fast = db.execute(&keyed).unwrap();
         let slow = db.execute(&generic).unwrap();
-        let par = db.execute_parallel(&keyed).unwrap();
+        let par = db.execute(&keyed).unwrap();
         assert!(!fast.rows.is_empty());
         assert_eq!(fast.rows, slow.rows);
         assert_eq!(fast.rows, par.rows);

@@ -34,6 +34,9 @@ pub enum DbError {
     /// The execution exceeded its row or byte budget (see
     /// [`crate::limits`]).
     BudgetExceeded(String),
+    /// The durable directory is already open (its lock file is held by
+    /// another process or another open in this one).
+    Locked(String),
 }
 
 impl fmt::Display for DbError {
@@ -52,6 +55,9 @@ impl fmt::Display for DbError {
             DbError::Corrupt(m) => write!(f, "storage corruption: {m}"),
             DbError::DeadlineExceeded(m) => write!(f, "deadline exceeded: {m}"),
             DbError::BudgetExceeded(m) => write!(f, "budget exceeded: {m}"),
+            DbError::Locked(d) => {
+                write!(f, "directory {d} is already open (locked by another handle)")
+            }
         }
     }
 }

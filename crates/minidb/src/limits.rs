@@ -2,10 +2,10 @@
 //!
 //! A [`Budget`] is created from [`ExecLimits`] and threaded through one
 //! logical request: every plan executed with
-//! [`crate::db::Database::execute_with`] (and the catalog's response
+//! [`crate::db::ReadTxn::execute_with`] (and the catalog's response
 //! assembly on top of it) charges rows and bytes against the same
 //! tracker, and checks the deadline cooperatively at loop boundaries.
-//! Counters are atomic so parallel subplan forks share one budget;
+//! Counters are atomic so one budget can be shared behind an `Arc`;
 //! exceeding a limit surfaces as a typed
 //! [`DbError::DeadlineExceeded`] / [`DbError::BudgetExceeded`] instead
 //! of a partial result.
@@ -109,11 +109,6 @@ impl Budget {
     /// Rows charged so far.
     pub fn rows_used(&self) -> u64 {
         self.rows.load(Ordering::Relaxed)
-    }
-
-    /// Bytes charged so far.
-    pub fn bytes_used(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
     }
 
     /// Error if the deadline has passed.

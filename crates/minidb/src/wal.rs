@@ -58,6 +58,9 @@ use std::sync::Arc;
 pub const SNAPSHOT_FILE: &str = "snapshot.mdb";
 /// WAL file name inside a durable directory.
 pub const WAL_FILE: &str = "wal.log";
+/// Lock file whose exclusive lock marks a directory as owned by one
+/// open [`StdVfs`].
+const LOCK_FILE: &str = "LOCK";
 /// Scratch names for atomic tmp-then-rename replacement.
 pub(crate) const SNAPSHOT_TMP: &str = "snapshot.tmp";
 pub(crate) const WAL_TMP: &str = "wal.tmp";
@@ -147,15 +150,34 @@ fn vfs_err(op: &str, name: &str, e: std::io::Error) -> DbError {
 /// Real-directory [`Vfs`] backed by `std::fs`.
 pub struct StdVfs {
     dir: PathBuf,
+    /// Exclusive lock on [`LOCK_FILE`], held for this Vfs's life: one
+    /// WAL writer per directory, so a second process can neither append
+    /// to the live log nor truncate its in-flight tail in recovery. The
+    /// OS drops the lock when the process dies, even by SIGKILL.
+    _lock: std::fs::File,
 }
 
 impl StdVfs {
-    /// Open (creating if needed) `dir` as a durable directory.
+    /// Open (creating if needed) `dir` as a durable directory and take
+    /// its exclusive lock; fails with [`DbError::Locked`] while another
+    /// `StdVfs` — in this process or another — holds it.
     pub fn new(dir: impl Into<PathBuf>) -> Result<StdVfs> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
             .map_err(|e| vfs_err("create_dir_all", &dir.display().to_string(), e))?;
-        Ok(StdVfs { dir })
+        let lock = std::fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join(LOCK_FILE))
+            .map_err(|e| vfs_err("open", LOCK_FILE, e))?;
+        match lock.try_lock() {
+            Ok(()) => Ok(StdVfs { dir, _lock: lock }),
+            Err(std::fs::TryLockError::WouldBlock) => {
+                Err(DbError::Locked(dir.display().to_string()))
+            }
+            Err(std::fs::TryLockError::Error(e)) => Err(vfs_err("lock", LOCK_FILE, e)),
+        }
     }
 
     fn path(&self, name: &str) -> PathBuf {

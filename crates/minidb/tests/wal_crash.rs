@@ -471,6 +471,9 @@ fn std_vfs_roundtrip_on_disk() {
         db.checkpoint().unwrap();
         db.insert("alpha", vec![vec![Value::Int(-7), Value::Null, Value::Null]])
             .unwrap();
+        // The directory has one owner: a second open is refused.
+        let second = Database::open(&dir);
+        assert!(matches!(second, Err(DbError::Locked(_))), "second open: {:?}", second.err());
     }
     {
         let db = Database::open(&dir).unwrap();

@@ -41,9 +41,10 @@
 //! snapshot; `SLOWLOG` reads (and `SLOWLOG <ms>` configures) the
 //! slow-query ring.
 
-use catalog::catalog::MetadataCatalog;
+use catalog::catalog::{MetadataCatalog, QueryOptions};
 use catalog::qparse::parse_query;
 use catalog::reqctx::RequestCtx;
+use catalog::response::envelope;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -624,7 +625,10 @@ fn serve_connection(
                 }
             }
             "QUERY" => {
-                match parse_query(rest).and_then(|q| catalog.query_ctx(&q, &req_ctx(rest))) {
+                match parse_query(rest).and_then(|q| {
+                    let opts = QueryOptions { ctx: Some(req_ctx(rest)), ..Default::default() };
+                    catalog.query_with(&q, &opts)
+                }) {
                     Ok(ids) => {
                         let list: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
                         writeln!(writer, "OK {} {}", ids.len(), list.join(" "))?;
@@ -643,34 +647,19 @@ fn serve_connection(
                         reg.counter("service.errors.malformed").incr();
                         writeln!(writer, "ERR bad id list")?;
                     }
-                    Ok(ids) => match catalog.fetch_documents_ctx(&ids, &req_ctx(rest)) {
-                        Ok(docs) => {
-                            let mut out = String::new();
-                            out.push_str("<results>");
-                            for (id, doc) in &docs {
-                                out.push_str(&format!("<object id=\"{id}\">"));
-                                out.push_str(doc);
-                                out.push_str("</object>");
-                            }
-                            out.push_str("</results>");
-                            reg.counter("service.body_bytes_out").add(out.len() as u64);
-                            writeln!(writer, "OK {}", out.len())?;
-                            writer.write_all(out.as_bytes())?;
-                        }
-                        Err(e) => err_reply(&mut writer, &e.to_string())?,
-                    },
+                    Ok(ids) => {
+                        let docs = catalog.fetch_documents_with(&ids, Some(&req_ctx(rest)));
+                        body_reply(&mut writer, docs.map(|d| envelope(&d)))?
+                    }
                 }
             }
-            "SEARCH" => match parse_query(rest)
-                .and_then(|q| catalog.search_envelope_ctx(&q, &req_ctx(rest)))
-            {
-                Ok(env) => {
-                    reg.counter("service.body_bytes_out").add(env.len() as u64);
-                    writeln!(writer, "OK {}", env.len())?;
-                    writer.write_all(env.as_bytes())?;
-                }
-                Err(e) => err_reply(&mut writer, &e.to_string())?,
-            },
+            "SEARCH" => {
+                let env = parse_query(rest).and_then(|q| {
+                    let opts = QueryOptions { ctx: Some(req_ctx(rest)), ..Default::default() };
+                    catalog.search_envelope_with(&q, &opts)
+                });
+                body_reply(&mut writer, env)?
+            }
             "STATS" => {
                 let s = catalog.stats();
                 let mut out = format!(
@@ -735,6 +724,18 @@ fn serve_connection(
 fn err_reply(writer: &mut TcpStream, msg: &str) -> std::io::Result<()> {
     obs::global().counter("service.errors.catalog").incr();
     writeln!(writer, "ERR {}", one_line(msg))
+}
+
+/// Reply `OK <len>` plus the body, or the catalog error.
+fn body_reply(writer: &mut TcpStream, body: catalog::Result<String>) -> std::io::Result<()> {
+    match body {
+        Ok(body) => {
+            obs::global().counter("service.body_bytes_out").add(body.len() as u64);
+            writeln!(writer, "OK {}", body.len())?;
+            writer.write_all(body.as_bytes())
+        }
+        Err(e) => err_reply(writer, &e.to_string()),
+    }
 }
 
 /// Why a length-prefixed body could not be read.

@@ -103,10 +103,16 @@ impl<'a> QueryGenerator<'a> {
                 ObjectQuery::new().attr(top)
             }
             QueryShape::Conjunctive(k) => {
+                // Document `i` carries specs `i .. i + dynamics_per_doc`
+                // (mod pool), so criteria from one such window co-occur;
+                // criteria past the window reuse it on the next parameter.
+                let specs = self.gen.specs();
+                let window = self.gen.config().dynamics_per_doc.clamp(1, specs.len());
+                let base = self.rng.gen_range(0..specs.len());
                 let mut q = ObjectQuery::new();
                 for j in 0..k.max(1) {
-                    let spec = &self.gen.specs()[(j * 3 + 1) % self.gen.specs().len()];
-                    let (pname, _) = &spec.elements[j % spec.elements.len().max(1)];
+                    let spec = &specs[(base + j % window) % specs.len()];
+                    let (pname, _) = &spec.elements[(j / window) % spec.elements.len().max(1)];
                     let t = self.rng.gen_range(card / 4..card) as f64;
                     q = q.attr(
                         AttrQuery::new(spec.name.clone())
@@ -151,10 +157,14 @@ mod tests {
             QueryShape::DynamicRange(90),
             QueryShape::Nested(1),
             QueryShape::Conjunctive(2),
+            QueryShape::Conjunctive(4),
         ] {
+            let mut hits = 0;
             for q in qg.batch(shape, 5) {
-                cat.query(&q).unwrap_or_else(|e| panic!("{shape:?}: {e}"));
+                hits += cat.query(&q).unwrap_or_else(|e| panic!("{shape:?}: {e}")).len();
             }
+            // Conjunctions draw co-occurring criteria, so they have hits.
+            assert!(hits > 0 || !matches!(shape, QueryShape::Conjunctive(_)), "{shape:?}: no hits");
         }
     }
 

@@ -81,9 +81,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // Stop the server (it drains, then checkpoints) and reopen the
-    // directory — restart survival.
+    // directory — restart survival. The directory stays locked until
+    // the last handle to the catalog, the server's included, is gone.
     c.quit()?;
     server.stop();
+    drop(server);
     drop(catalog);
     let reopened = open()?;
     println!("reopened {} with {} objects", dir.display(), reopened.stats().objects);

@@ -169,7 +169,8 @@ fn run() -> Result<(), String> {
             let dsl = args.rest.join(" ");
             let q = parse_query(&dsl).map_err(|e| e.to_string())?;
             let cat = load(&args)?;
-            for (id, doc) in cat.search(&q).map_err(|e| e.to_string())? {
+            let ids = cat.query(&q).map_err(|e| e.to_string())?;
+            for (id, doc) in cat.fetch_documents(&ids).map_err(|e| e.to_string())? {
                 say!("--- object {id} ---");
                 match mylead::xmlkit::Document::parse(&doc) {
                     Ok(d) => say!(

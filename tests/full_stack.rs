@@ -70,10 +70,11 @@ fn strategies_and_flat_path_agree_on_generated_workloads() {
         cat.ingest(&d).unwrap();
     }
     let mut qg = QueryGenerator::new(&generator, 77);
+    let with = |s| QueryOptions { strategy: Some(s), ..Default::default() };
     // Flat queries: all three paths agree.
     for q in qg.batch(QueryShape::DynamicEq, 6) {
-        let exact = cat.query_with(&q, MatchStrategy::Exact).unwrap();
-        let counted = cat.query_with(&q, MatchStrategy::Counted).unwrap();
+        let exact = cat.query_with(&q, &with(MatchStrategy::Exact)).unwrap();
+        let counted = cat.query_with(&q, &with(MatchStrategy::Counted)).unwrap();
         let flat = cat.query_flat(&q).unwrap();
         assert_eq!(exact, counted);
         assert_eq!(exact, flat);
@@ -81,8 +82,8 @@ fn strategies_and_flat_path_agree_on_generated_workloads() {
     // Single-level nesting: Exact and Counted agree (divergence needs
     // two+ levels with split partial matches).
     for q in qg.batch(QueryShape::Nested(1), 6) {
-        let exact = cat.query_with(&q, MatchStrategy::Exact).unwrap();
-        let counted = cat.query_with(&q, MatchStrategy::Counted).unwrap();
+        let exact = cat.query_with(&q, &with(MatchStrategy::Exact)).unwrap();
+        let counted = cat.query_with(&q, &with(MatchStrategy::Counted)).unwrap();
         assert_eq!(exact, counted);
     }
 }

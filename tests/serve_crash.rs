@@ -3,6 +3,7 @@
 //! no destructor — must not lose the object.
 
 use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 fn bin() -> &'static str {
@@ -26,16 +27,17 @@ impl Drop for Server {
     }
 }
 
-#[test]
-fn killed_server_keeps_acked_ingest() {
-    let dir = std::env::temp_dir().join(format!("mylead-serve-kill-{}", std::process::id()));
+/// `mylead init` a fresh catalog directory named after `tag`, then
+/// `mylead serve` it; returns the directory, the catalog path, the
+/// server and its address.
+fn init_and_serve(tag: &str) -> (PathBuf, PathBuf, Server, String) {
+    let dir = std::env::temp_dir().join(format!("mylead-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let cat = dir.join("cat.db");
     let cat_s = cat.to_str().unwrap();
     let init = Command::new(bin()).args(["init", "-s", cat_s]).output().unwrap();
     assert!(init.status.success(), "{}", String::from_utf8_lossy(&init.stderr));
-
     let mut server = Server(
         Command::new(bin())
             .args(["serve", "-s", cat_s, "127.0.0.1:0"])
@@ -48,19 +50,47 @@ fn killed_server_keeps_acked_ingest() {
     let mut banner = String::new();
     BufReader::new(server.0.stdout.take().unwrap()).read_line(&mut banner).unwrap();
     let addr = banner.split(" (").next().and_then(|s| s.rsplit(' ').next()).unwrap();
+    (dir, cat, server, addr.to_string())
+}
 
-    let mut client = service::CatalogClient::connect(addr).unwrap();
-    let id = client.ingest(DOC).unwrap();
-    server.0.kill().unwrap();
-    server.0.wait().unwrap();
-
+/// Run `mylead query -s <cat> <dsl>`; returns success and all output.
+fn query(cat: &Path, dsl: &str) -> (bool, String) {
     let out = Command::new(bin())
-        .args(["query", "-s", cat_s, "grid@ARPS[dx=1000]"])
+        .args(["query", "-s", cat.to_str().unwrap(), dsl])
         .output()
         .unwrap();
     let text =
         format!("{}{}", String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
-    assert!(out.status.success(), "{text}");
+    (out.status.success(), text)
+}
+
+#[test]
+fn killed_server_keeps_acked_ingest() {
+    let (dir, cat, mut server, addr) = init_and_serve("serve-kill");
+    let mut client = service::CatalogClient::connect(addr.as_str()).unwrap();
+    let id = client.ingest(DOC).unwrap();
+    server.0.kill().unwrap();
+    server.0.wait().unwrap();
+
+    let (ok, text) = query(&cat, "grid@ARPS[dx=1000]");
+    assert!(ok, "{text}");
     assert!(text.contains(&format!("[{id}]")), "acked object {id} lost after SIGKILL: {text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn second_process_cannot_open_a_served_catalog() {
+    let (dir, cat, server, addr) = init_and_serve("serve-lock");
+    let mut client = service::CatalogClient::connect(addr.as_str()).unwrap();
+    let id = client.ingest(DOC).unwrap();
+
+    let wal = cat.join(minidb::wal::WAL_FILE);
+    let before = std::fs::read(&wal).unwrap();
+    let (ok, text) = query(&cat, "grid@ARPS[dx=1000]");
+    assert!(!ok, "query beside a live server succeeded: {text}");
+    assert_eq!(std::fs::read(&wal).unwrap(), before, "second process changed the live WAL");
+    // The server still owns the directory and still answers.
+    assert_eq!(client.query("grid@ARPS[dx=1000]").unwrap(), vec![id]);
+    drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }
